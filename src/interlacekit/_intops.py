@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .errors import InternalInconsistencyError
+
 IntPoly = list[int]
 
 
@@ -77,8 +79,8 @@ def eval_sign_at(coeffs: IntPoly, point: Fraction) -> int:
     return eval_sign(coeffs, point.numerator, point.denominator)
 
 
-def pseudo_remainder(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Remainder of lc(g)**(deg f - deg g + 1) * f by g, fraction-free.
+def pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with lc(g)**(deg f - deg g + 1) * f == q*g + r, deg r < deg g.
 
     Requires deg f >= deg g >= 0.  The scale factor keeps every division
     exact over the integers; no rationals are formed.
@@ -86,30 +88,34 @@ def pseudo_remainder(f: IntPoly, g: IntPoly) -> IntPoly:
     dg = len(g) - 1
     lg = g[-1]
     r = list(f)
-    steps = len(f) - len(g) + 1
+    q = [0] * (len(f) - dg)
+    steps = len(q)
     while r and len(r) - 1 >= dg:
         lead = r[-1]
         shift = len(r) - len(g)
         r = [lg * c for c in r]
+        q = [lg * c for c in q]
+        q[shift] += lead
         for i in range(len(g)):
             r[shift + i] -= lead * g[i]
         r.pop()
         trim(r)
         steps -= 1
-    if steps > 0 and r:
+    if steps > 0:
         m = lg ** steps
+        q = [m * c for c in q]
         r = [m * c for c in r]
-    return r
+    return q, r
 
 
 def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """A positive multiple of -rem(f, g), content stripped.
 
-    pseudo_remainder scales rem(f, g) by lc(g)**delta; when that factor
-    is negative the signs would flip relative to the true remainder,
-    which would corrupt Sturm sign variation counts, so flip them back.
+    pseudo_divmod scales rem(f, g) by lc(g)**delta; when that factor is
+    negative the signs would flip relative to the true remainder, which
+    would corrupt Sturm sign variation counts, so flip them back.
     """
-    r = pseudo_remainder(f, g)
+    r = pseudo_divmod(f, g)[1]
     delta = len(f) - len(g) + 1
     if g[-1] < 0 and delta % 2 == 1:
         r = [-c for c in r]
@@ -123,11 +129,26 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = primitive(trim(pseudo_remainder(a, b)))
+        r = primitive(trim(pseudo_divmod(a, b)[1]))
         a, b = b, r
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
+
+
+def squarefree(p: IntPoly) -> IntPoly:
+    """Primitive positive multiple of the monic squarefree part of p.
+
+    p / gcd(p, p') has the roots of p, each simple.  The pseudo-quotient
+    is a nonzero multiple of that exact quotient; its sign is fixed last.
+    """
+    g = poly_gcd(p, derivative(p))
+    if len(g) > 1:
+        p, rem = pseudo_divmod(p, g)
+        if rem:
+            raise InternalInconsistencyError("gcd does not divide its argument")
+    p = primitive(p)
+    return p if p[-1] > 0 else [-c for c in p]
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
@@ -164,6 +185,15 @@ def variations(signs: Sequence[int]) -> int:
 def variations_at(chain: Sequence[IntPoly], point: Fraction) -> int:
     num, den = point.numerator, point.denominator
     return variations([eval_sign(c, num, den) for c in chain])
+
+
+def variations_at_infinity(chain: Sequence[IntPoly], sign: int) -> int:
+    """Sign variations at +infinity (sign 1) or -infinity (sign -1).
+
+    Each entry takes the sign of its leading term there,
+    sign(lc) * sign**degree.
+    """
+    return variations([(1 if c[-1] > 0 else -1) * sign ** (len(c) - 1) for c in chain])
 
 
 def cauchy_bound(coeffs: IntPoly) -> Fraction:

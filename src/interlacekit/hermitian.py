@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .errors import InputFormatError, InternalInconsistencyError
@@ -210,13 +212,6 @@ class HermitianMatrix:
             ]
         )
 
-    def is_gaussian_integer(self) -> bool:
-        return all(
-            c.re.denominator == 1 and c.im.denominator == 1
-            for row in self.entries
-            for c in row
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -233,7 +228,7 @@ class HermitianMatrix:
         if "n" not in obj or "entries" not in obj:
             raise InputFormatError("matrix document needs keys 'n' and 'entries'")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InputFormatError(f"field 'n' must be a positive integer, got {n!r}")
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != n:
@@ -287,57 +282,29 @@ def det_exact(matrix) -> GaussianRational:
     return -result if sign < 0 else result
 
 
-def _char_poly_generic(grid: Grid) -> list[GaussianRational]:
-    """Faddeev-LeVerrier recurrence over GaussianRational entries."""
-    n = len(grid)
-    coeffs = [GR_ZERO] * (n + 1)
-    coeffs[n] = GR_ONE
-    m = [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [
-            [
-                sum(
-                    (grid[i][t] * m[t][j] for t in range(n)),
-                    GR_ZERO,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        trace = sum((am[i][i] for i in range(n)), GR_ZERO)
-        ck = GaussianRational(-trace.re / k, -trace.im / k)
-        coeffs[n - k] = ck
-        m = [
-            [am[i][j] + ck if i == j else am[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
-
-
 def _int_matmul(a: list[list[int]], bt: list[list[int]]) -> list[list[int]]:
     """Product with the second factor pre-transposed; plain int entries."""
     return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt]
+        [sum(map(mul, row, col)) for col in bt]
         for row in a
     ]
 
 
-def _char_poly_gaussian_int(grid: Grid) -> list[GaussianRational]:
-    """Faddeev-LeVerrier on integer re/im parts.
+def _char_poly_gaussian_int(
+    a_re: list[list[int]], a_im: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Faddeev-LeVerrier on a Gaussian-integer matrix given as re/im parts.
 
-    For Gaussian integer matrices every division in the recurrence is
-    exact over the integers, so the whole run stays in int arithmetic,
-    which is far faster than Fraction pairs.  The divisions are checked;
-    a nonzero remainder would mean the fast path was applied to an
-    ineligible matrix.
+    Returns the (re, im) parts of every coefficient of det(xI - A),
+    ascending.  For Gaussian integer matrices every division in the
+    recurrence is exact over the integers, so the whole run stays in
+    int arithmetic.  The divisions are checked anyway.
     """
-    n = len(grid)
-    a_re = [[c.re.numerator for c in row] for row in grid]
-    a_im = [[c.im.numerator for c in row] for row in grid]
+    n = len(a_re)
     m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     m_im = [[0] * n for _ in range(n)]
-    out = [GR_ZERO] * (n + 1)
-    out[n] = GR_ONE
+    out = [(0, 0)] * (n + 1)
+    out[n] = (1, 0)
     for k in range(1, n + 1):
         mt_re = [list(col) for col in zip(*m_re)]
         mt_im = [list(col) for col in zip(*m_im)]
@@ -357,9 +324,9 @@ def _char_poly_gaussian_int(grid: Grid) -> list[GaussianRational]:
         q_im, r_im = divmod(-tr_im, k)
         if r_re or r_im:
             raise InternalInconsistencyError(
-                "integer fast path hit an inexact division"
+                "Faddeev-LeVerrier hit an inexact integer division"
             )
-        out[n - k] = GaussianRational(Fraction(q_re), Fraction(q_im))
+        out[n - k] = (q_re, q_im)
         for i in range(n):
             am_re[i][i] += q_re
             am_im[i][i] += q_im
@@ -370,22 +337,32 @@ def _char_poly_gaussian_int(grid: Grid) -> list[GaussianRational]:
 def char_poly(matrix: HermitianMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), exactly.
 
-    Hermitian matrices have real characteristic coefficients; that is
-    asserted on the exact results, so a nonzero imaginary residue can
-    never be silently dropped.
+    One integer route serves every matrix: with D the least common
+    denominator of all entry parts, DA is a Gaussian integer matrix, and
+    char(A)(x) = D**-n * char(DA)(D*x), so coefficient k of char(A) is
+    c_k / D**(n - k) for the coefficients c_k of char(DA).  Hermitian
+    matrices have real characteristic coefficients; that is asserted on
+    the exact results, so a nonzero imaginary residue can never be
+    silently dropped.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
-    if matrix.is_gaussian_integer():
-        coeffs = _char_poly_gaussian_int(matrix.entries)
-    else:
-        coeffs = _char_poly_generic(matrix.entries)
-    for k, c in enumerate(coeffs):
-        if c.im != 0:
+    n = matrix.n
+    parts = [x for row in matrix.entries for c in row for x in (c.re, c.im)]
+    den = lcm(*[x.denominator for x in parts])
+    a_re = [[c.re.numerator * (den // c.re.denominator) for c in row]
+            for row in matrix.entries]
+    a_im = [[c.im.numerator * (den // c.im.denominator) for c in row]
+            for row in matrix.entries]
+    coeffs = []
+    for k, (re, im) in enumerate(_char_poly_gaussian_int(a_re, a_im)):
+        if im != 0:
             raise InternalInconsistencyError(
-                f"characteristic coefficient {k} has nonzero imaginary part {c.im}"
+                f"characteristic coefficient {k} has nonzero imaginary part"
+                f" {Fraction(im, den ** (n - k))}"
             )
-    return Polynomial([c.re for c in coeffs])
+        coeffs.append(Fraction(re, den ** (n - k)))
+    return Polynomial(coeffs)
 
 
 def principal_submatrix(matrix: HermitianMatrix, k: int) -> HermitianMatrix:

@@ -24,7 +24,13 @@ from . import _intops
 from .errors import DegreeMismatchError, ZeroPolynomialError
 from .polynomials import Polynomial, lin_comb, poly_gcd
 from .rationals import as_rational, format_rational
-from .realroots import RootIntervals, SturmChain, is_real_rooted, isolate_roots
+from .realroots import (
+    RootIntervals,
+    SturmChain,
+    _bisect_once,
+    is_real_rooted,
+    isolate_roots,
+)
 from .rng import SplitMix64
 
 DEFAULT_ALPHA_SEED = 0x5EED
@@ -186,17 +192,8 @@ class _RootComparer:
 
     def _refine(self, owner: str, idx: int) -> None:
         box = self._state[owner][idx]
-        lo, hi = box
-        if lo == hi:
-            return
-        mid = (lo + hi) / 2
-        s = _intops.eval_sign_at(self._ints[owner], mid)
-        if s == 0:
-            box[0] = box[1] = mid
-        elif _intops.eval_sign_at(self._ints[owner], lo) * s < 0:
-            box[1] = mid
-        else:
-            box[0] = mid
+        if box[0] != box[1]:
+            box[:] = _bisect_once(self._ints[owner], box[0], box[1])
 
     def compare(self, a: tuple[str, int], b: tuple[str, int]) -> int:
         """-1, 0, or +1 as root a is below, equal to, or above root b."""

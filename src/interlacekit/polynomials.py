@@ -230,15 +230,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic polynomial with the same real and complex roots, all simple."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero is undefined")
-    if p.degree == 0:
-        return Polynomial([1])
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    quot, rem = divmod(p, g)
-    if not rem.is_zero:
-        raise AssertionError("gcd does not divide its argument")
-    return quot.monic()
+    sqf = _intops.squarefree(_intops.from_fraction_coeffs(p.coeffs))
+    return Polynomial(sqf).monic()
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:

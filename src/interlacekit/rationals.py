@@ -9,6 +9,7 @@ floats never appear in any interchange format.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputFormatError
@@ -16,33 +17,37 @@ from .errors import InputFormatError
 Rational = Fraction
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a Fraction.
 
-    Rejects anything that is not an integer pair, including q <= 0,
-    decimal points, and empty parts.
+    ``p`` and ``q`` are ASCII decimal integers with an optional sign;
+    whitespace around the text or around the slash is ignored.  Rejects
+    anything that is not such an integer pair, including q <= 0, decimal
+    points, empty parts, digit separators (``"1_000"``) and non-ASCII
+    digits, which ``int`` alone would accept.
     """
     if not isinstance(text, str):
         raise InputFormatError(
             f"rational must be a string, got {type(text).__name__}"
         )
-    body = text.strip()
-    num_part, sep, den_part = body.partition("/")
+    num_part, sep, den_part = text.strip().partition("/")
+    parts = (num_part, den_part) if sep else (num_part,)
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise InputFormatError(f"invalid rational {text!r}")
     try:
-        num = int(num_part)
-    except ValueError:
+        values = [int(part) for part in parts]
+    except ValueError:  # past int's limit on decimal digits
         raise InputFormatError(f"invalid rational {text!r}") from None
     if not sep:
-        return Fraction(num)
-    try:
-        den = int(den_part)
-    except ValueError:
-        raise InputFormatError(f"invalid rational {text!r}") from None
-    if den <= 0:
+        return Fraction(values[0])
+    if values[1] <= 0:
         raise InputFormatError(
             f"invalid rational {text!r}: denominator must be positive"
         )
-    return Fraction(num, den)
+    return Fraction(*values)
 
 
 def format_rational(value: Fraction) -> str:

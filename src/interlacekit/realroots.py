@@ -16,12 +16,11 @@ from typing import Sequence
 from . import _intops
 from .errors import (
     EndpointRootError,
-    InputFormatError,
     InternalInconsistencyError,
     ZeroPolynomialError,
 )
-from .polynomials import Polynomial, squarefree_part
-from .rationals import Rational, as_rational, format_rational, parse_rational
+from .polynomials import Polynomial
+from .rationals import Rational, as_rational, format_rational
 
 DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 
@@ -29,12 +28,13 @@ DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    ``chain`` exposes the textbook sequence: the monic squarefree part,
-    its derivative, then negated euclidean remainders down to a nonzero
-    constant.  Counting queries run on a cached integer-scaled copy of
-    the same chain; each scaled entry is a positive multiple of the
-    rational entry, so sign variations agree while coefficient
-    arithmetic stays in the integers.
+    Every query runs on an integer chain: the primitive squarefree part
+    (integer gcd with the derivative, then an exact pseudo-quotient),
+    its derivative, then content-stripped negated pseudo-remainders down
+    to a nonzero constant.  Each integer entry is a positive multiple of
+    the matching entry of ``chain``, so sign variations agree exactly.
+    ``chain`` itself is the textbook rational sequence, built only on
+    request as the reference the integer chain is tested against.
     """
 
     __slots__ = ("_sqf", "_int_chain", "_rational_chain")
@@ -42,10 +42,9 @@ class SturmChain:
     def __init__(self, p: Polynomial):
         if p.is_zero:
             raise ZeroPolynomialError("Sturm chain of zero is undefined")
-        sqf = squarefree_part(p)
-        int_p = _intops.from_fraction_coeffs(sqf.coeffs)
-        object.__setattr__(self, "_sqf", sqf)
+        int_p = _intops.squarefree(_intops.from_fraction_coeffs(p.coeffs))
         object.__setattr__(self, "_int_chain", _intops.sturm_chain(int_p))
+        object.__setattr__(self, "_sqf", None)
         object.__setattr__(self, "_rational_chain", None)
 
     def __setattr__(self, name, value):
@@ -54,19 +53,21 @@ class SturmChain:
     @property
     def squarefree(self) -> Polynomial:
         """Monic squarefree polynomial the chain was built from."""
+        if self._sqf is None:
+            object.__setattr__(self, "_sqf", Polynomial(self._int_chain[0]).monic())
         return self._sqf
 
     @property
     def degree(self) -> int:
-        return self._sqf.degree
+        return len(self._int_chain[0]) - 1
 
     @property
     def chain(self) -> tuple[Polynomial, ...]:
         """The textbook rational chain, built on first access."""
         if self._rational_chain is None:
-            seq = [self._sqf]
-            if self._sqf.degree >= 1:
-                seq.append(self._sqf.derivative())
+            seq = [self.squarefree]
+            if seq[0].degree >= 1:
+                seq.append(seq[0].derivative())
                 while seq[-1].degree >= 1:
                     rem = seq[-2] % seq[-1]
                     if rem.is_zero:
@@ -74,6 +75,12 @@ class SturmChain:
                     seq.append(-rem)
             object.__setattr__(self, "_rational_chain", tuple(seq))
         return self._rational_chain
+
+    def real_root_count(self) -> int:
+        """Number of distinct real roots: V(-infinity) - V(+infinity)."""
+        down = _intops.variations_at_infinity(self._int_chain, -1)
+        up = _intops.variations_at_infinity(self._int_chain, 1)
+        return down - up
 
     def variations_at(self, point: Fraction) -> int:
         return _intops.variations_at(self._int_chain, point)
@@ -111,55 +118,46 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
     return chain.variations_at(lo) - chain.variations_at(hi)
 
 
-def _next_pow2_beyond(value: Fraction) -> Fraction:
-    p = Fraction(1)
-    while p <= value:
-        p *= 2
-    return p
-
-
 def _safe_outer_bracket(chain: SturmChain) -> tuple[Fraction, Fraction]:
-    """Bracket strictly containing every real root, endpoints not roots.
+    """(-B, B) for the strict Cauchy bound B of the squarefree part.
 
-    The Cauchy bound is already strict, so the first candidate works;
-    the nudge loop is a guard against any bound slippage, moving each
-    endpoint halfway toward the next power of two.
+    Every real root r satisfies -B < r < B, so neither endpoint can be a
+    root; if one is, the bound is wrong, and that raises
+    InternalInconsistencyError instead of being nudged away.
     """
     bound = chain.root_bound()
-    ceiling = _next_pow2_beyond(bound)
-    m = bound
-    while chain.sign_at(m) == 0 or chain.sign_at(-m) == 0:
-        m = m + (ceiling - m) / 2
-    return -m, m
+    if chain.sign_at(bound) == 0 or chain.sign_at(-bound) == 0:
+        raise InternalInconsistencyError(f"Cauchy bound {bound} is a root")
+    return -bound, bound
 
 
 def is_real_rooted(p: Polynomial) -> bool:
     """True iff every complex root of p is real.
 
     Multiplicities do not matter: p is real rooted exactly when its
-    squarefree part of degree d has d real roots, and that count is a
-    Sturm count over a certified outer bracket.  Constants are real
-    rooted; the zero polynomial is rejected.
+    squarefree part of degree d has d distinct real roots, and that
+    count is V(-infinity) - V(+infinity), read from the leading signs
+    and degrees of the Sturm chain.  Constants are real rooted; the zero
+    polynomial is rejected.
     """
     if p.is_zero:
         raise ZeroPolynomialError("is_real_rooted is undefined for zero")
     chain = SturmChain(p)
-    d = chain.degree
-    if d == 0:
-        return True
-    lo, hi = _safe_outer_bracket(chain)
-    return chain.variations_at(lo) - chain.variations_at(hi) == d
+    return chain.real_root_count() == chain.degree
 
 
 @dataclass(frozen=True)
 class RootIntervals:
     """Isolated real roots: disjoint rational intervals, one root each.
 
-    ``intervals[k]`` is (lo, hi) with lo <= hi; a degenerate pair
-    lo == hi pins the root exactly.  ``multiplicities[k]`` is the root's
-    multiplicity in the source polynomial.  ``poly`` is the monic
-    squarefree carrier whose sign changes certify the open intervals;
-    refinement queries evaluate it and nothing else.
+    ``intervals[k]`` is (lo, hi) with lo <= hi.  An open pair lo < hi
+    holds exactly one root with the carrier nonzero at both ends; a
+    degenerate pair lo == hi pins the root exactly, either because it
+    was known (``from_roots``) or because a bisection midpoint landed on
+    it.  ``multiplicities[k]`` is the root's multiplicity in the source
+    polynomial.  ``poly`` is the monic squarefree carrier whose sign
+    changes certify the open intervals; refinement queries evaluate it
+    and nothing else.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -258,9 +256,9 @@ def _multiplicities(
     """Multiplicity of the root inside each interval, via the gcd tower.
 
     With g_0 = p and g_{i+1} = gcd(g_i, g_i'), a root of multiplicity m
-    in p appears in exactly g_0 .. g_{m-1}.  Interval endpoints are
-    never roots of p, hence never roots of any g_i, so the Sturm counts
-    below are always legal.
+    in p appears in exactly g_0 .. g_{m-1}.  The intervals are fresh
+    isolating intervals, open with endpoints that are not roots of p,
+    hence not roots of any g_i, so the Sturm counts below are legal.
     """
     mults = [1] * len(intervals)
     cur = _intops.from_fraction_coeffs(p.coeffs)
@@ -268,12 +266,9 @@ def _multiplicities(
         nxt = _intops.poly_gcd(cur, _intops.derivative(cur))
         if len(nxt) <= 1:
             return mults
-        layer = SturmChain(Polynomial(nxt))
+        layer = _intops.sturm_chain(_intops.squarefree(nxt))
         for i, (lo, hi) in enumerate(intervals):
-            if lo == hi:
-                if layer.sign_at(lo) == 0:
-                    mults[i] += 1
-            elif layer.variations_at(lo) - layer.variations_at(hi) > 0:
+            if _intops.variations_at(layer, lo) > _intops.variations_at(layer, hi):
                 mults[i] += 1
         cur = nxt
 
@@ -305,16 +300,17 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
 def _bisect_once(
     p0: list[int], lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """One bisection step on an open interval with a sign change.
+    """One bisection step on an open interval where p0 changes sign.
 
-    If the midpoint happens to be the root, collapse symmetrically to a
-    small interval around it whose endpoints keep the old signs.
+    Keeps the half that still changes sign.  A midpoint that is itself
+    the root pins the interval to (mid, mid).  ``refine_to`` and the
+    interlacing comparer both step with this rule, so a root reached
+    either way ends in the same bracket.
     """
     mid = (lo + hi) / 2
     s_mid = _intops.eval_sign_at(p0, mid)
     if s_mid == 0:
-        delta = min((mid - lo) / 2, (hi - mid) / 2)
-        return (mid - delta, mid + delta)
+        return (mid, mid)
     if _intops.eval_sign_at(p0, lo) * s_mid < 0:
         return (lo, mid)
     return (mid, hi)
@@ -323,8 +319,10 @@ def _bisect_once(
 def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     """Shrink every interval to at most the given width.
 
-    Refinement preserves the root set, the multiplicities, and the sign
-    pattern of the carrier at interval endpoints.  After refinement,
+    Each step is ``_bisect_once``: an open interval halves, keeping the
+    half where the carrier changes sign, and a root that a midpoint hits
+    exactly is pinned to a point interval, which is final.  Refinement
+    preserves the root set and the multiplicities.  After refinement,
     consecutive intervals are strictly separated: hi of one is below lo
     of the next.
     """
@@ -353,26 +351,4 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
         intervals=tuple(refined),
         multiplicities=roots.multiplicities,
         poly=roots.poly,
-    )
-
-
-def intervals_from_json_obj(items, poly: Polynomial) -> RootIntervals:
-    """Rebuild RootIntervals from the serialized list form."""
-    if not isinstance(items, list):
-        raise InputFormatError("root intervals must be an array")
-    ivs = []
-    mults = []
-    for item in items:
-        if not isinstance(item, dict) or set(item) != {"lo", "hi", "mult"}:
-            raise InputFormatError(
-                "each interval needs exactly the keys lo, hi, mult"
-            )
-        lo = parse_rational(item["lo"])
-        hi = parse_rational(item["hi"])
-        if not isinstance(item["mult"], int) or item["mult"] < 1:
-            raise InputFormatError("mult must be a positive integer")
-        ivs.append((lo, hi))
-        mults.append(item["mult"])
-    return RootIntervals(
-        intervals=tuple(ivs), multiplicities=tuple(mults), poly=poly
     )

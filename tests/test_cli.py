@@ -139,6 +139,26 @@ def test_malformed_inputs_exit_two(tmp_path):
     assert missing.returncode == 2
 
 
+def test_quirky_fields_exit_two_naming_the_field(tmp_path):
+    bool_size = tmp_path / "bool_size.json"
+    bool_size.write_text(json.dumps({"n": True, "entries": [[["1", "0"]]]}))
+    result = run_cli("check", "--mode", "cauchy", str(bool_size))
+    assert result.returncode == 2
+    assert "field 'n'" in result.stderr
+
+    separator = tmp_path / "separator.json"
+    separator.write_text(json.dumps({"n": 1, "entries": [[["1_000", "0"]]]}))
+    result = run_cli("check", "--mode", "cauchy", str(separator))
+    assert result.returncode == 2
+    assert "entry (0, 0)" in result.stderr and "1_000" in result.stderr
+
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"f": ["0", "\u0663", "1"], "g": ["1", "1"]}))
+    result = run_cli("check", "--mode", "definition", str(pair))
+    assert result.returncode == 2
+    assert "pair.json" in result.stderr
+
+
 def test_flag_validation_exits_two(tmp_path):
     assert run_cli("check", "--bound", "0").returncode == 2
     assert run_cli("check", "--trials", "0").returncode == 2

@@ -155,7 +155,6 @@ def test_char_poly_fraction_entries_take_generic_path():
             [GR(1, -half), GR(2)]
         ]
     )
-    assert not m.is_gaussian_integer()
     p = char_poly(m)
     # det(xI - A) = (x - 1/2)(x - 2) - (1 + i/2)(1 - i/2)
     assert p == Polynomial([1 - F(5, 4), -half - 2, 1])
@@ -301,6 +300,11 @@ def test_random_hermitian_draw_order_is_pinned():
     assert m.entries[0][1] == GR(re01, im01)
     assert m.entries[1][0] == GR(re01, -im01)
     assert m.entries[1][1] == GR(d1)
+
+
+def test_matrix_json_rejects_bool_size():
+    with pytest.raises(InputFormatError, match="'n'"):
+        HermitianMatrix.from_json_obj({"n": True, "entries": [[["1", "0"]]]})
 
 
 def test_matrix_json_round_trip():

@@ -11,6 +11,7 @@ from interlacekit import (
     derivative,
     evaluate,
     lin_comb,
+    parse_rational,
     poly_from_strings,
     poly_gcd,
     poly_to_strings,
@@ -149,6 +150,16 @@ def test_serialization_rejects_bad_input():
         poly_from_strings(["1.5"])
     with pytest.raises(InputFormatError):
         poly_from_strings("nope")
+
+
+def test_parse_rational_takes_ascii_integers_only():
+    assert parse_rational(" -3 ") == -3
+    assert parse_rational("+6/4") == F(3, 2)
+    assert parse_rational("1 / 2") == F(1, 2)
+    # int() alone accepts digit separators and non-ASCII decimal digits
+    for text in ["1_000", "\u0663", "1/\u0663", "\uff11", "0x10", "- 1", "1/2/3"]:
+        with pytest.raises(InputFormatError):
+            parse_rational(text)
 
 
 def test_rejects_float_coefficients():

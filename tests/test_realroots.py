@@ -11,6 +11,7 @@ from interlacekit import (
     ZeroPolynomialError,
     build_sturm,
     count_roots_in,
+    interlaces_exact,
     is_real_rooted,
     isolate_roots,
     refine_to,
@@ -230,3 +231,32 @@ def test_refinement_never_loses_a_root(values):
     for root, (lo, hi) in zip(sorted(set(values)), narrow.intervals):
         assert lo <= root <= hi
         assert hi - lo <= F(1, 4096)
+
+
+def test_refinement_and_comparer_pin_the_same_brackets():
+    # Both roots of x^2 - 1 lie on bisection midpoints of the isolating
+    # intervals, so either route pins them to point intervals.
+    f = Polynomial([-1, 0, 1])
+    refined = refine_to(isolate_roots(f), F(1, 2 ** 20))
+    assert refined.intervals == ((-1, -1), (1, 1))
+    report = interlaces_exact(f, Polynomial([F(-1, 2), 1]))
+    brackets = [(e.lo, e.hi) for e in report.chain_certificate if e.owner == "f"]
+    assert brackets == list(refined.intervals)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(root_values, min_size=0, max_size=5),
+    st.integers(-4, 4),
+    st.integers(0, 9),
+    st.integers(-5, 5).filter(bool),
+)
+def test_integer_chain_scales_the_textbook_chain(values, b, c, scale):
+    # x^2 + b*x + c adds a complex pair when b^2 < 4c
+    p = scale * Polynomial.from_roots(values) * Polynomial([c, b, 1])
+    sturm = build_sturm(p)
+    assert len(sturm._int_chain) == len(sturm.chain)
+    for entry, reference in zip(sturm._int_chain, sturm.chain):
+        ratio = entry[-1] / reference.leading_coefficient()
+        assert ratio > 0
+        assert Polynomial(entry) == ratio * reference
