@@ -139,10 +139,17 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 def squarefree(p: IntPoly) -> IntPoly:
     """Primitive positive multiple of the monic squarefree part of p.
 
-    p / gcd(p, p') has the roots of p, each simple.  The pseudo-quotient
-    is a nonzero multiple of that exact quotient; its sign is fixed last.
+    p / gcd(p, p') has the roots of p, each simple.
     """
-    g = poly_gcd(p, derivative(p))
+    return exact_quotient(p, poly_gcd(p, derivative(p)))
+
+
+def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive positive multiple of p / g, for a divisor g of p.
+
+    The pseudo-quotient is a nonzero multiple of the exact quotient; its
+    sign is fixed last.  A g that leaves a remainder raises.
+    """
     if len(g) > 1:
         p, rem = pseudo_divmod(p, g)
         if rem:

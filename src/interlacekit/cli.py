@@ -6,6 +6,14 @@ and prints a JSON report.  Reports are deterministic for a fixed seed
 and flags, except for the timing block, which is the only place a
 wall-clock number appears.
 
+Every suite is one row of the ``_SUITES`` table: a case source paired
+with a checker.  The pair source yields generated trials or pair files
+(definition, pencil); the matrix source yields generated trials or
+matrix files (identity, cauchy).  A checker turns one case into its
+report fields and pass flag.  ``cmd_check`` runs every suite through
+the same loop, which also counts passes and failures and keeps the
+timing block.
+
 Exit codes: 0 all checks passed, 1 at least one property violation,
 2 malformed input or I/O failure.
 """
@@ -33,30 +41,31 @@ from .hermitian import (
     random_hermitian,
 )
 from .interlace import (
+    DEFAULT_ALPHA_RANDOM_COUNT,
     default_alphas,
     hko_crosscheck,
     interlaces_exact,
 )
 from .polynomials import Polynomial, poly_from_strings, poly_to_strings
 from .rationals import format_rational, parse_rational
+from .realroots import DEFAULT_WIDTH
 from .rng import trial_rng
 
 MODES = ("definition", "pencil", "identity", "cauchy", "all")
-MATRIX_MODES = ("identity", "cauchy")
-PAIR_MODES = ("definition", "pencil")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str
     seed: int
     trials: int
     size_min: int
     size_max: int
     bound: int
-    alphas: int
-    width: Fraction
     out: str | None
+    # Read by ``check`` only; ``gen`` leaves them at these defaults.
+    mode: str = "all"
+    alphas: int = DEFAULT_ALPHA_RANDOM_COUNT
+    width: Fraction = DEFAULT_WIDTH
     inputs: tuple[str, ...] = ()
 
     def validate_common(self) -> None:
@@ -69,13 +78,13 @@ class RunConfig:
             )
         if self.bound < 1:
             raise InputFormatError(f"bound must be >= 1, got {self.bound}")
+
+    def validate_check(self) -> None:
+        self.validate_common()
         if self.alphas < 0:
             raise InputFormatError(f"alphas must be >= 0, got {self.alphas}")
         if self.width <= 0:
             raise InputFormatError(f"width must be positive, got {self.width}")
-
-    def validate_check(self) -> None:
-        self.validate_common()
         if self.mode not in MODES:
             raise InputFormatError(f"unknown mode {self.mode!r}")
         if self.inputs and self.mode == "all":
@@ -100,11 +109,14 @@ def _load_json(path: str):
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _load_matrix(path: str) -> HermitianMatrix:
+def _load_matrix(path: str, mode: str) -> HermitianMatrix:
     try:
-        return HermitianMatrix.from_json_obj(_load_json(path))
+        matrix = HermitianMatrix.from_json_obj(_load_json(path))
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
+    if matrix.n < 2:
+        raise InputFormatError(f"{path}: {mode} mode needs n >= 2")
+    return matrix
 
 
 def _load_pair(path: str) -> tuple[Polynomial, Polynomial]:
@@ -121,14 +133,6 @@ def _load_pair(path: str) -> tuple[Polynomial, Polynomial]:
     return f, g
 
 
-def _alpha_grid(config: RunConfig) -> list[Fraction]:
-    return default_alphas(random_count=config.alphas)
-
-
-def _degree_for_trial(config: RunConfig, rng) -> int:
-    return rng.int_between(config.size_min, config.size_max)
-
-
 def _random_interlacing_pair(rng, degree: int, bound: int):
     """Monic pair built from an explicit weak chain of rational roots."""
     values = sorted(
@@ -139,173 +143,113 @@ def _random_interlacing_pair(rng, degree: int, bound: int):
     return Polynomial.from_roots(roots_f), Polynomial.from_roots(roots_g)
 
 
-def _definition_generated(config: RunConfig) -> list[dict]:
-    records = []
+def _trials(config: RunConfig):
+    """(trial, rng, size) per generated trial; the size is the first draw."""
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        degree = _degree_for_trial(config, rng)
-        f, g = _random_interlacing_pair(rng, degree, config.bound)
-        report = interlaces_exact(f, g)
-        records.append(
-            {
-                "trial": trial,
-                "degree": degree,
-                "f": poly_to_strings(f),
-                "g": poly_to_strings(g),
-                "report": report.as_dict(),
-                "pass": report.verdict.value == "Interlaces",
-            }
+        yield trial, rng, rng.int_between(config.size_min, config.size_max)
+
+
+def _pair_cases(config: RunConfig):
+    """(record, (f, g)) for each pair file, or else each generated trial."""
+    if config.inputs:
+        cases = (({"path": path}, _load_pair(path)) for path in config.inputs)
+    else:
+        cases = (
+            ({"trial": trial, "degree": degree},
+             _random_interlacing_pair(rng, degree, config.bound))
+            for trial, rng, degree in _trials(config)
         )
-    return records
+    for record, (f, g) in cases:
+        record.update(f=poly_to_strings(f), g=poly_to_strings(g))
+        yield record, (f, g)
 
 
-def _definition_files(config: RunConfig) -> list[dict]:
-    records = []
-    for path in config.inputs:
-        f, g = _load_pair(path)
-        report = interlaces_exact(f, g)
-        records.append(
-            {
-                "path": path,
-                "f": poly_to_strings(f),
-                "g": poly_to_strings(g),
-                "report": report.as_dict(),
-                "pass": report.verdict.value
-                in ("Interlaces", "DoesNotInterlace"),
-            }
+def _matrix_cases(config: RunConfig):
+    """(record, (matrix, rng)) for each matrix file, or else each trial.
+
+    ``rng`` is the stream a checker draws further values from: the rest
+    of a generated trial's stream, or ``trial_rng(seed, index)`` for the
+    file at ``index``.
+    """
+    if config.inputs:
+        cases = (
+            ({"path": path}, _load_matrix(path, config.mode),
+             trial_rng(config.seed, index))
+            for index, path in enumerate(config.inputs)
         )
-    return records
+    else:
+        cases = (
+            ({"trial": trial}, random_hermitian(rng, n, config.bound), rng)
+            for trial, rng, n in _trials(config)
+        )
+    for record, matrix, rng in cases:
+        record.update(n=matrix.n, matrix=matrix.to_json_obj())
+        yield record, (matrix, rng)
 
 
-def _pencil_generated(config: RunConfig) -> list[dict]:
-    grid = _alpha_grid(config)
-    records = []
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        degree = _degree_for_trial(config, rng)
-        f, g = _random_interlacing_pair(rng, degree, config.bound)
+# Verdicts a definition case passes on, keyed by whether it came from a
+# file: generated pairs are built to interlace, a file pair may not.
+_DEFINITION_PASSES = {
+    False: ("Interlaces",),
+    True: ("Interlaces", "DoesNotInterlace"),
+}
+
+
+def _definition(config: RunConfig):
+    passing = _DEFINITION_PASSES[bool(config.inputs)]
+
+    def check(f, g):
+        report = interlaces_exact(f, g)
+        return {"report": report.as_dict(), "pass": report.verdict.value in passing}
+
+    return check
+
+
+def _pencil(config: RunConfig):
+    grid = default_alphas(random_count=config.alphas)
+
+    def check(f, g):
         report = hko_crosscheck(f, g, alphas=grid)
-        records.append(
-            {
-                "trial": trial,
-                "degree": degree,
-                "f": poly_to_strings(f),
-                "g": poly_to_strings(g),
-                "report": report.as_dict(),
-                "pass": report.consistent,
-            }
-        )
-    return records
+        return {"report": report.as_dict(), "pass": report.consistent}
+
+    return check
 
 
-def _pencil_files(config: RunConfig) -> list[dict]:
-    grid = _alpha_grid(config)
-    records = []
-    for path in config.inputs:
-        f, g = _load_pair(path)
-        try:
-            report = hko_crosscheck(f, g, alphas=grid)
-        except DegreeMismatchError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
-        records.append(
-            {
-                "path": path,
-                "f": poly_to_strings(f),
-                "g": poly_to_strings(g),
-                "report": report.as_dict(),
-                "pass": report.consistent,
-            }
-        )
-    return records
+def _identity(config: RunConfig):
+    def check(matrix, rng):
+        report = bordered_identity(matrix, rng.rational(100, 100))
+        return {"report": report.as_dict(), "pass": report.exact_match}
+
+    return check
 
 
-def _identity_trial(matrix: HermitianMatrix, alpha: Fraction) -> dict:
-    report = bordered_identity(matrix, alpha)
-    return {"report": report.as_dict(), "pass": report.exact_match}
+def _cauchy(config: RunConfig):
+    def check(matrix, rng):
+        deletions = []
+        ok = True
+        for k in range(matrix.n):
+            try:
+                report = cauchy_check(matrix, k, config.width)
+                deletions.append({"k": k, "verdict": report.verdict.value})
+            except InternalInconsistencyError as exc:
+                ok = False
+                deletions.append(
+                    {"k": k, "verdict": "Inconsistent", "detail": str(exc)}
+                )
+        return {"deletions": deletions, "pass": ok}
+
+    return check
 
 
-def _identity_generated(config: RunConfig) -> list[dict]:
-    records = []
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        n = rng.int_between(max(config.size_min, 2), config.size_max)
-        matrix = random_hermitian(rng, n, config.bound)
-        alpha = rng.rational(100, 100)
-        entry = _identity_trial(matrix, alpha)
-        entry.update({"trial": trial, "n": n, "matrix": matrix.to_json_obj()})
-        records.append(entry)
-    return records
-
-
-def _identity_files(config: RunConfig) -> list[dict]:
-    records = []
-    for index, path in enumerate(config.inputs):
-        matrix = _load_matrix(path)
-        if matrix.n < 2:
-            raise InputFormatError(f"{path}: identity mode needs n >= 2")
-        alpha = trial_rng(config.seed, index).rational(100, 100)
-        entry = _identity_trial(matrix, alpha)
-        entry.update({"path": path, "n": matrix.n, "matrix": matrix.to_json_obj()})
-        records.append(entry)
-    return records
-
-
-def _cauchy_one(matrix: HermitianMatrix, width: Fraction) -> tuple[list[dict], bool]:
-    deletions = []
-    ok = True
-    for k in range(matrix.n):
-        try:
-            report = cauchy_check(matrix, k, width)
-            deletions.append({"k": k, "verdict": report.verdict.value})
-        except InternalInconsistencyError as exc:
-            ok = False
-            deletions.append({"k": k, "verdict": "Inconsistent", "detail": str(exc)})
-    return deletions, ok
-
-
-def _cauchy_generated(config: RunConfig) -> list[dict]:
-    records = []
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        n = rng.int_between(max(config.size_min, 2), config.size_max)
-        matrix = random_hermitian(rng, n, config.bound)
-        deletions, ok = _cauchy_one(matrix, config.width)
-        records.append(
-            {
-                "trial": trial,
-                "n": n,
-                "matrix": matrix.to_json_obj(),
-                "deletions": deletions,
-                "pass": ok,
-            }
-        )
-    return records
-
-
-def _cauchy_files(config: RunConfig) -> list[dict]:
-    records = []
-    for path in config.inputs:
-        matrix = _load_matrix(path)
-        if matrix.n < 2:
-            raise InputFormatError(f"{path}: cauchy mode needs n >= 2")
-        deletions, ok = _cauchy_one(matrix, config.width)
-        records.append(
-            {
-                "path": path,
-                "n": matrix.n,
-                "matrix": matrix.to_json_obj(),
-                "deletions": deletions,
-                "pass": ok,
-            }
-        )
-    return records
-
-
+# mode -> (case source, checker).  A checker runs once per suite and
+# returns the function that turns one case into its report fields and
+# pass flag.
 _SUITES = {
-    "definition": (_definition_generated, _definition_files),
-    "pencil": (_pencil_generated, _pencil_files),
-    "identity": (_identity_generated, _identity_files),
-    "cauchy": (_cauchy_generated, _cauchy_files),
+    "definition": (_pair_cases, _definition),
+    "pencil": (_pair_cases, _pencil),
+    "identity": (_matrix_cases, _identity),
+    "cauchy": (_matrix_cases, _cauchy),
 }
 
 
@@ -330,8 +274,18 @@ def cmd_check(config: RunConfig) -> int:
     failures = 0
     names = [config.mode] if config.mode != "all" else list(_SUITES)
     for name in names:
-        generated, from_files = _SUITES[name]
-        records = from_files(config) if config.inputs else generated(config)
+        source, checker = _SUITES[name]
+        check = checker(config)
+        records = []
+        for record, case in source(config):
+            try:
+                record.update(check(*case))
+            except DegreeMismatchError as exc:
+                # A pair file the checker cannot take is malformed input.
+                if not config.inputs:
+                    raise
+                raise InputFormatError(f"{record['path']}: {exc}") from None
+            records.append(record)
         failed = sum(1 for r in records if not r["pass"])
         failures += failed
         suites[name] = {
@@ -370,9 +324,7 @@ def _gen_path(template: str | None, index: int, total: int) -> str:
 
 def cmd_gen(config: RunConfig) -> int:
     config.validate_common()
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        n = rng.int_between(config.size_min, config.size_max)
+    for trial, rng, n in _trials(config):
         matrix = random_hermitian(rng, n, config.bound)
         path = _gen_path(config.out, trial, config.trials)
         with open(path, "w", encoding="utf-8") as fh:
@@ -394,19 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size-min", type=int, default=2, dest="size_min")
         p.add_argument("--size-max", type=int, default=6, dest="size_max")
         p.add_argument("--bound", type=int, default=10)
-        p.add_argument(
-            "--alphas",
-            type=int,
-            default=64,
-            help="random alphas appended to the fixed pencil grid",
-        )
-        p.add_argument(
-            "--width",
-            type=str,
-            default="1/1048576",
-            help="interval refinement width as a rational string",
-        )
-        p.add_argument("--mode", choices=MODES, default="all")
         p.add_argument("--out", type=str, default=None)
 
     gen = sub.add_parser("gen", help="write random Hermitian matrix files")
@@ -414,22 +353,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run checks and print a JSON report")
     add_common(check)
+    check.add_argument(
+        "--alphas",
+        type=int,
+        default=RunConfig.alphas,
+        help="random alphas appended to the fixed pencil grid",
+    )
+    check.add_argument(
+        "--width",
+        type=str,
+        default=format_rational(RunConfig.width),
+        help="interval refinement width as a rational string",
+    )
+    check.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     check.add_argument("inputs", nargs="*", help="matrix or pair files")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
+    check_only = {}
+    if args.command == "check":
+        check_only = {
+            "mode": args.mode,
+            "alphas": args.alphas,
+            "width": parse_rational(args.width),
+            "inputs": tuple(args.inputs),
+        }
     return RunConfig(
-        mode=args.mode,
         seed=args.seed,
         trials=args.trials,
         size_min=args.size_min,
         size_max=args.size_max,
         bound=args.bound,
-        alphas=args.alphas,
-        width=parse_rational(args.width),
         out=args.out,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
+        **check_only,
     )
 
 

@@ -22,11 +22,10 @@ from typing import Sequence
 
 from . import _intops
 from .errors import DegreeMismatchError, ZeroPolynomialError
-from .polynomials import Polynomial, lin_comb, poly_gcd
+from .polynomials import Polynomial, lin_comb
 from .rationals import as_rational, format_rational
 from .realroots import (
     RootIntervals,
-    SturmChain,
     _bisect_once,
     is_real_rooted,
     isolate_roots,
@@ -177,17 +176,19 @@ class _RootComparer:
             "f": _intops.from_fraction_coeffs(roots_f.poly.coeffs),
             "g": _intops.from_fraction_coeffs(roots_g.poly.coeffs),
         }
-        self._polys = {"f": roots_f.poly, "g": roots_g.poly}
-        self._shared: SturmChain | None | bool = None
+        self._shared: list[list[int]] | None | bool = None
 
     def interval(self, owner: str, idx: int) -> tuple[Fraction, Fraction]:
         lo, hi = self._state[owner][idx]
         return lo, hi
 
-    def _shared_chain(self) -> SturmChain | None:
+    def _shared_chain(self) -> list[list[int]] | None:
+        """Integer Sturm chain of gcd(f, g), or None if it is constant."""
         if self._shared is None:
-            h = poly_gcd(self._polys["f"], self._polys["g"])
-            self._shared = SturmChain(h) if h.degree >= 1 else False
+            h = _intops.poly_gcd(self._ints["f"], self._ints["g"])
+            self._shared = (
+                _intops.sturm_chain(_intops.squarefree(h)) if len(h) >= 2 else False
+            )
         return self._shared or None
 
     def _refine(self, owner: str, idx: int) -> None:
@@ -232,7 +233,8 @@ class _RootComparer:
             if shared is not None:
                 lo = max(a_lo, b_lo)
                 hi = min(a_hi, b_hi)
-                if shared.variations_at(lo) - shared.variations_at(hi) > 0:
+                below = _intops.variations_at(shared, lo)
+                if below > _intops.variations_at(shared, hi):
                     return 0
             self._refine(owner_a, ia)
             self._refine(owner_b, ib)

@@ -259,18 +259,19 @@ def _multiplicities(
     in p appears in exactly g_0 .. g_{m-1}.  The intervals are fresh
     isolating intervals, open with endpoints that are not roots of p,
     hence not roots of any g_i, so the Sturm counts below are legal.
+    Layer i counts on the squarefree part g_i / g_{i+1}, so each gcd of
+    the tower is computed once.
     """
     mults = [1] * len(intervals)
     cur = _intops.from_fraction_coeffs(p.coeffs)
-    while True:
-        nxt = _intops.poly_gcd(cur, _intops.derivative(cur))
-        if len(nxt) <= 1:
-            return mults
-        layer = _intops.sturm_chain(_intops.squarefree(nxt))
+    nxt = _intops.poly_gcd(cur, _intops.derivative(cur))
+    while len(nxt) > 1:
+        cur, nxt = nxt, _intops.poly_gcd(nxt, _intops.derivative(nxt))
+        layer = _intops.sturm_chain(_intops.exact_quotient(cur, nxt))
         for i, (lo, hi) in enumerate(intervals):
             if _intops.variations_at(layer, lo) > _intops.variations_at(layer, hi):
                 mults[i] += 1
-        cur = nxt
+    return mults
 
 
 def isolate_roots(p: Polynomial) -> RootIntervals:

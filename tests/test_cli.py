@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -34,6 +35,21 @@ def test_gen_writes_deterministic_files(tmp_path):
         doc = json.loads(a)
         assert set(doc) == {"n", "entries"}
         assert 2 <= doc["n"] <= 4
+
+
+def test_gen_takes_no_check_flags(tmp_path):
+    for flag, value in (("--mode", "cauchy"), ("--alphas", "3"), ("--width", "1/2")):
+        result = run_cli("gen", flag, value, "--out", str(tmp_path / "x.json"))
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+    result = run_cli("gen", "--seed", "5", "--trials", "2",
+                     "--out", str(tmp_path / "m_{i}.json"))
+    assert result.returncode == 0
+    files = b"".join((tmp_path / f"m_{i}.json").read_bytes() for i in range(2))
+    assert hashlib.sha256(files).hexdigest() == (
+        "f3be07a0f876476d688f385e91e0908c157a5ec1a7c17401ff36959cb202e780"
+    )
 
 
 def test_generated_matrices_are_valid_input(tmp_path):
@@ -177,6 +193,16 @@ def test_pair_degree_gap_exits_two(tmp_path):
     result = run_cli("check", "--mode", "pencil", str(pair))
     assert result.returncode == 2
     assert "gap.json" in result.stderr
+
+
+def test_definition_degree_gap_is_a_failed_record(tmp_path):
+    pair = tmp_path / "gap.json"
+    pair.write_text(json.dumps({"f": ["1", "0", "0", "1"], "g": ["1", "1"]}))
+    result = run_cli("check", "--mode", "definition", str(pair))
+    assert result.returncode == 1
+    record = strip_timing(result.stdout)["suites"]["definition"]["trials"][0]
+    assert record["report"]["verdict"] == "DegreeMismatch"
+    assert record["pass"] is False
 
 
 def test_reports_carry_tool_and_config_blocks():

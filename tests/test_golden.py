@@ -54,6 +54,8 @@ FILE_CASES = {
         "ac8e0e8c1cc9930643f11fb02fdac474324c69db40160408f0b094c76f9cdd14",
     ("identity", "matrix.json"):
         "e10787d26eb203fb701ceead02b04d57c68beceb85f4577d2b1bcbccfc4b6812",
+    ("pencil", "tie.json", "break.json"):
+        "095c93694ac7b725f1db62716588d06bc4eadb6de25fe7b01da47a38c06f9ad5",
 }
 
 
