@@ -136,14 +136,6 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return a
 
 
-def squarefree(p: IntPoly) -> IntPoly:
-    """Primitive positive multiple of the monic squarefree part of p.
-
-    p / gcd(p, p') has the roots of p, each simple.
-    """
-    return exact_quotient(p, poly_gcd(p, derivative(p)))
-
-
 def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive positive multiple of p / g, for a divisor g of p.
 
@@ -159,11 +151,11 @@ def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of a squarefree integer polynomial.
+    """Signed remainder sequence of p and p', ending at gcd(p, p').
 
-    Each element is a positive multiple of the textbook chain entry
-    built from p, so sign variations at any point agree with the
-    textbook chain exactly.
+    Each element is a positive multiple of the textbook entry built
+    from p, so sign variations at any point agree exactly.  For a
+    squarefree p it is the Sturm chain, ending at a nonzero constant.
     """
     chain = [primitive(list(p))]
     d = trim(derivative(chain[0]))
@@ -175,6 +167,22 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
             break
         chain.append(r)
     return chain
+
+
+def squarefree_sturm(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
+    """Sturm chain of the squarefree part of p, and gcd(p, p') up to sign.
+
+    The chain starts at the primitive squarefree part with a positive
+    leading coefficient.  p's own remainder sequence ends at the gcd and
+    is that chain when the gcd is constant; otherwise it is rebuilt once.
+    """
+    if p[-1] < 0:
+        p = [-c for c in p]
+    chain = sturm_chain(p)
+    g = chain[-1]
+    if len(g) > 1:
+        chain = sturm_chain(exact_quotient(p, g))
+    return chain, g
 
 
 def variations(signs: Sequence[int]) -> int:

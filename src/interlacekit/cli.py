@@ -313,7 +313,10 @@ def _gen_path(template: str | None, index: int, total: int) -> str:
     if template is None:
         template = "matrix_{i:03d}.json"
     if "{i" in template:
-        return template.format(i=index)
+        try:
+            return template.format(i=index)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise InputFormatError(f"--out template {template!r}: {exc!r}") from None
     if total == 1:
         return template
     stem, dot, ext = template.rpartition(".")

@@ -186,9 +186,7 @@ class _RootComparer:
         """Integer Sturm chain of gcd(f, g), or None if it is constant."""
         if self._shared is None:
             h = _intops.poly_gcd(self._ints["f"], self._ints["g"])
-            self._shared = (
-                _intops.sturm_chain(_intops.squarefree(h)) if len(h) >= 2 else False
-            )
+            self._shared = _intops.squarefree_sturm(h)[0] if len(h) >= 2 else False
         return self._shared or None
 
     def _refine(self, owner: str, idx: int) -> None:
@@ -217,14 +215,7 @@ class _RootComparer:
                 self._refine(owner_b, ib)
                 continue
             if b_lo == b_hi:
-                if b_lo <= a_lo:
-                    return 1
-                if b_lo >= a_hi:
-                    return -1
-                if _intops.eval_sign_at(self._ints[owner_a], b_lo) == 0:
-                    return 0
-                self._refine(owner_a, ia)
-                continue
+                return -self.compare(b, a)
             if a_hi <= b_lo:
                 return -1
             if b_hi <= a_lo:

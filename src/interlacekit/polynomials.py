@@ -230,8 +230,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic polynomial with the same real and complex roots, all simple."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero is undefined")
-    sqf = _intops.squarefree(_intops.from_fraction_coeffs(p.coeffs))
-    return Polynomial(sqf).monic()
+    chain, _ = _intops.squarefree_sturm(_intops.from_fraction_coeffs(p.coeffs))
+    return Polynomial(chain[0]).monic()
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:

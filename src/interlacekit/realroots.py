@@ -28,22 +28,23 @@ DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    Every query runs on an integer chain: the primitive squarefree part
-    (integer gcd with the derivative, then an exact pseudo-quotient),
-    its derivative, then content-stripped negated pseudo-remainders down
-    to a nonzero constant.  Each integer entry is a positive multiple of
-    the matching entry of ``chain``, so sign variations agree exactly.
-    ``chain`` itself is the textbook rational sequence, built only on
-    request as the reference the integer chain is tested against.
+    Every query runs on an integer chain: p's signed remainder sequence,
+    which ends at gcd(p, p') (kept for the multiplicity tower) and is
+    rebuilt from p / gcd only when that gcd is not constant.  Each
+    integer entry is a positive multiple of the matching entry of
+    ``chain``, so sign variations agree exactly.  ``chain`` itself is
+    the textbook rational sequence, built only on request as the
+    reference the integer chain is tested against.
     """
 
-    __slots__ = ("_sqf", "_int_chain", "_rational_chain")
+    __slots__ = ("_sqf", "_int_chain", "_gcd", "_rational_chain")
 
     def __init__(self, p: Polynomial):
         if p.is_zero:
             raise ZeroPolynomialError("Sturm chain of zero is undefined")
-        int_p = _intops.squarefree(_intops.from_fraction_coeffs(p.coeffs))
-        object.__setattr__(self, "_int_chain", _intops.sturm_chain(int_p))
+        chain, gcd = _intops.squarefree_sturm(_intops.from_fraction_coeffs(p.coeffs))
+        object.__setattr__(self, "_int_chain", chain)
+        object.__setattr__(self, "_gcd", gcd)
         object.__setattr__(self, "_sqf", None)
         object.__setattr__(self, "_rational_chain", None)
 
@@ -251,23 +252,20 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
 
 
 def _multiplicities(
-    p: Polynomial, intervals: Sequence[tuple[Fraction, Fraction]]
+    g: list[int], intervals: Sequence[tuple[Fraction, Fraction]]
 ) -> list[int]:
     """Multiplicity of the root inside each interval, via the gcd tower.
 
     With g_0 = p and g_{i+1} = gcd(g_i, g_i'), a root of multiplicity m
-    in p appears in exactly g_0 .. g_{m-1}.  The intervals are fresh
-    isolating intervals, open with endpoints that are not roots of p,
-    hence not roots of any g_i, so the Sturm counts below are legal.
-    Layer i counts on the squarefree part g_i / g_{i+1}, so each gcd of
-    the tower is computed once.
+    in p appears in exactly g_0 .. g_{m-1}; ``g`` is g_1, where p's Sturm
+    chain ended.  The intervals are fresh isolating intervals, open with
+    endpoints that are not roots of p, hence not roots of any g_i, so
+    the Sturm counts below are legal.  Layer i counts on the chain of
+    the squarefree part of g_i, whose build also yields g_{i+1}.
     """
     mults = [1] * len(intervals)
-    cur = _intops.from_fraction_coeffs(p.coeffs)
-    nxt = _intops.poly_gcd(cur, _intops.derivative(cur))
-    while len(nxt) > 1:
-        cur, nxt = nxt, _intops.poly_gcd(nxt, _intops.derivative(nxt))
-        layer = _intops.sturm_chain(_intops.exact_quotient(cur, nxt))
+    while len(g) > 1:
+        layer, g = _intops.squarefree_sturm(g)
         for i, (lo, hi) in enumerate(intervals):
             if _intops.variations_at(layer, lo) > _intops.variations_at(layer, hi):
                 mults[i] += 1
@@ -287,10 +285,7 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
     if chain.degree == 0:
         return RootIntervals(intervals=(), multiplicities=(), poly=chain.squarefree)
     intervals = _isolate_squarefree(chain)
-    if p.degree == chain.degree:
-        mults = [1] * len(intervals)
-    else:
-        mults = _multiplicities(p, intervals)
+    mults = _multiplicities(chain._gcd, intervals)
     return RootIntervals(
         intervals=tuple(intervals),
         multiplicities=tuple(mults),

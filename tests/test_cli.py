@@ -219,6 +219,14 @@ def test_gen_rejects_bad_flags():
     assert run_cli("gen", "--size-min", "0").returncode == 2
 
 
+@pytest.mark.parametrize("template", ["m_{i:q}.json", "m_{i}{j}.json"])
+def test_gen_rejects_malformed_out_template(tmp_path, template):
+    result = run_cli("gen", "--trials", "1", "--out", str(tmp_path / template))
+    assert result.returncode == 2
+    assert "--out" in result.stderr and "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["definition", "pencil", "identity", "cauchy"])
 def test_every_generated_suite_passes(mode):
     result = run_cli("check", "--mode", mode, "--seed", "23", "--trials", "3",

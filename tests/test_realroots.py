@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlacekit import _intops
 from interlacekit import (
     EndpointRootError,
     Polynomial,
@@ -260,3 +261,56 @@ def test_integer_chain_scales_the_textbook_chain(values, b, c, scale):
         ratio = entry[-1] / reference.leading_coefficient()
         assert ratio > 0
         assert Polynomial(entry) == ratio * reference
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(_intops, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_intops, name, counted)
+    return counts
+
+
+def test_sturm_builds_run_one_remainder_sequence(monkeypatch):
+    counts = _count_calls(monkeypatch, ("pseudo_divmod", "poly_gcd"))
+    for p in (
+        Polynomial.from_roots(range(-6, 6)),
+        Polynomial.from_roots([F(-1, 3), 2, 5]) * Polynomial([1, 0, 1]),
+    ):
+        counts.update(dict.fromkeys(counts, 0))
+        is_real_rooted(p)
+        assert counts["pseudo_divmod"] <= p.degree
+        assert counts["poly_gcd"] == 0
+    counts.update(dict.fromkeys(counts, 0))
+    roots = isolate_roots(Polynomial.from_roots([-1, -1, 1, 1, 1, 2]))
+    assert roots.multiplicities == (2, 3, 1)
+    assert counts["poly_gcd"] == 0
+
+
+small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
+    lambda c: c[-1] != 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(small_factors, st.integers(1, 3)), max_size=3),
+    st.integers(-5, 5).filter(bool),
+)
+def test_squarefree_sturm_matches_gcd_then_chain(factors, scale):
+    # Powers plant repeated factors; a negative scale flips the leading sign.
+    p = Polynomial([scale])
+    for coeffs, power in factors:
+        for _ in range(power):
+            p = p * Polynomial(coeffs)
+    ints = [int(c) for c in p.coeffs]
+    gcd = _intops.poly_gcd(ints, _intops.derivative(ints))
+    chain, g = _intops.squarefree_sturm(ints)
+    assert chain == _intops.sturm_chain(_intops.exact_quotient(ints, gcd))
+    ratio = F(g[-1], gcd[-1])
+    assert Polynomial(g) == ratio * Polynomial(gcd)
