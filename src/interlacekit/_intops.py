@@ -122,20 +122,6 @@ def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
     return primitive([-c for c in r])
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient; [] only if both zero."""
-    a = primitive(trim(list(f)))
-    b = primitive(trim(list(g)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = primitive(trim(pseudo_divmod(a, b)[1]))
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
 def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive positive multiple of p / g, for a divisor g of p.
 
@@ -150,23 +136,43 @@ def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
     return p if p[-1] > 0 else [-c for c in p]
 
 
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Signed remainder sequence of p and p', ending at gcd(p, p').
+def remainder_sequence(p: IntPoly, q: IntPoly) -> list[IntPoly]:
+    """Signed pseudo-remainder sequence of p and q, ending at gcd(p, q).
 
-    Each element is a positive multiple of the textbook entry built
-    from p, so sign variations at any point agree exactly.  For a
-    squarefree p it is the Sturm chain, ending at a nonzero constant.
+    Requires deg p >= deg q.  Entries are primitive; each is a positive
+    multiple of the textbook entry p, q, -rem(p, q), ..., so sign
+    variations at any point agree exactly.  The last entry is gcd(p, q)
+    up to sign.
     """
-    chain = [primitive(list(p))]
-    d = trim(derivative(chain[0]))
-    if d:
-        chain.append(primitive(d))
-    while len(chain[-1]) >= 2:
-        r = neg_signed_prem(chain[-2], chain[-1])
-        if not r:
+    seq = [primitive(list(p))]
+    r = primitive(list(q))
+    while r:
+        seq.append(r)
+        if len(r) == 1:
             break
-        chain.append(r)
-    return chain
+        r = neg_signed_prem(seq[-2], r)
+    return seq
+
+
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Remainder sequence of p and p', ending at gcd(p, p').
+
+    For a squarefree p it is the Sturm chain, ending at a nonzero
+    constant.
+    """
+    return remainder_sequence(p, derivative(p))
+
+
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient; [] only if both zero.
+
+    The last entry of the remainder sequence of f and g, taken in order
+    of degree, with its sign fixed.
+    """
+    if len(f) < len(g):
+        f, g = g, f
+    a = remainder_sequence(f, g)[-1]
+    return a if not a or a[-1] > 0 else [-c for c in a]
 
 
 def squarefree_sturm(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:

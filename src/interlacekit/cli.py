@@ -105,13 +105,18 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal past
+        # the interpreter's digit limit.
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _load_matrix(path: str, mode: str) -> HermitianMatrix:
+    obj = _load_json(path)
     try:
-        matrix = HermitianMatrix.from_json_obj(_load_json(path))
+        matrix = HermitianMatrix.from_json_obj(obj)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
     if matrix.n < 2:
@@ -314,9 +319,14 @@ def _gen_path(template: str | None, index: int, total: int) -> str:
         template = "matrix_{i:03d}.json"
     if "{i" in template:
         try:
-            return template.format(i=index)
+            path = template.format(i=index)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise InputFormatError(f"--out template {template!r}: {exc!r}") from None
+        if "\0" in path:
+            raise InputFormatError(
+                f"--out template {template!r}: path {path!r} holds a NUL byte"
+            )
+        return path
     if total == 1:
         return template
     stem, dot, ext = template.rpartition(".")

@@ -198,8 +198,6 @@ class _RootComparer:
         """-1, 0, or +1 as root a is below, equal to, or above root b."""
         owner_a, ia = a
         owner_b, ib = b
-        if owner_a == owner_b:
-            return (ia > ib) - (ia < ib)
         while True:
             a_lo, a_hi = self._state[owner_a][ia]
             b_lo, b_hi = self._state[owner_b][ib]
@@ -231,11 +229,11 @@ class _RootComparer:
             self._refine(owner_b, ib)
 
 
-def _expand(mults: Sequence[int]) -> list[int]:
-    """Interval index per chain slot, repeated by multiplicity."""
+def _expand(owner: str, mults: Sequence[int]) -> list[tuple[str, int]]:
+    """(owner, interval index) per chain slot, repeated by multiplicity."""
     out = []
     for idx, m in enumerate(mults):
-        out.extend([idx] * m)
+        out.extend([(owner, idx)] * m)
     return out
 
 
@@ -245,9 +243,10 @@ def interlaces_by_roots(
     """Decide the weak (or strict) interlacing chain from isolated roots.
 
     Roots are taken with multiplicity; the pair must carry n and n - 1
-    of them.  Every comparison is exact, so the verdict comes with
-    either a bracket certificate for the full chain or the first broken
-    inequality.
+    of them.  The merged slots r_1, s_1, r_2, ..., s_{n-1}, r_n are
+    walked once, each neighbour pair compared exactly, so the verdict
+    comes with either a bracket certificate for the full chain or the
+    first broken inequality.
     """
     n = roots_f.total_multiplicity
     m = roots_g.total_multiplicity
@@ -257,37 +256,27 @@ def interlaces_by_roots(
             strict=strict,
             degrees=(n, m),
         )
-    seq_f = _expand(roots_f.multiplicities)
-    seq_g = _expand(roots_g.multiplicities)
+    slots = [None] * (n + m)
+    slots[0::2] = _expand("f", roots_f.multiplicities)
+    slots[1::2] = _expand("g", roots_g.multiplicities)
     comparer = _RootComparer(roots_f, roots_g)
-    passes = (lambda c: c < 0) if strict else (lambda c: c <= 0)
-    for k in range(n - 1):
-        if not passes(comparer.compare(("f", seq_f[k]), ("g", seq_g[k]))):
+    # Largest comparison result between neighbours that keeps the chain.
+    allowed = -1 if strict else 0
+    for j in range(n + m - 1):
+        if comparer.compare(slots[j], slots[j + 1]) > allowed:
+            # Slots 2k-2, 2k-1, 2k (0-based) hold r_k, s_k, r_{k+1}.
             return InterlaceReport(
                 verdict=InterlaceVerdict.DOES_NOT_INTERLACE,
                 strict=strict,
-                failure_witness=(k + 1, "lower"),
+                failure_witness=(j // 2 + 1, "lower" if j % 2 == 0 else "upper"),
                 degrees=(n, m),
             )
-        if not passes(comparer.compare(("g", seq_g[k]), ("f", seq_f[k + 1]))):
-            return InterlaceReport(
-                verdict=InterlaceVerdict.DOES_NOT_INTERLACE,
-                strict=strict,
-                failure_witness=(k + 1, "upper"),
-                degrees=(n, m),
-            )
-    entries = []
-    for k in range(n - 1):
-        lo, hi = comparer.interval("f", seq_f[k])
-        entries.append(ChainEntry("f", lo, hi))
-        lo, hi = comparer.interval("g", seq_g[k])
-        entries.append(ChainEntry("g", lo, hi))
-    lo, hi = comparer.interval("f", seq_f[n - 1])
-    entries.append(ChainEntry("f", lo, hi))
     return InterlaceReport(
         verdict=InterlaceVerdict.INTERLACES,
         strict=strict,
-        chain_certificate=tuple(entries),
+        chain_certificate=tuple(
+            ChainEntry(owner, *comparer.interval(owner, idx)) for owner, idx in slots
+        ),
         degrees=(n, m),
     )
 
@@ -309,29 +298,24 @@ def interlaces_exact(
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlacing needs nonzero polynomials")
-    signs = (_lc_sign(f), _lc_sign(g))
+    fields = {
+        "strict": strict,
+        "degrees": (f.degree, g.degree),
+        "lc_sign_f": _lc_sign(f),
+        "lc_sign_g": _lc_sign(g),
+    }
     if f.degree != g.degree + 1:
-        return InterlaceReport(
-            verdict=InterlaceVerdict.DEGREE_MISMATCH,
-            strict=strict,
-            degrees=(f.degree, g.degree),
-            lc_sign_f=signs[0],
-            lc_sign_g=signs[1],
-        )
+        return InterlaceReport(verdict=InterlaceVerdict.DEGREE_MISMATCH, **fields)
     bad = tuple(
         name for name, p in (("f", f), ("g", g)) if not is_real_rooted(p)
     )
     if bad:
         return InterlaceReport(
-            verdict=InterlaceVerdict.NOT_REAL_ROOTED,
-            strict=strict,
-            not_real_rooted=bad,
-            degrees=(f.degree, g.degree),
-            lc_sign_f=signs[0],
-            lc_sign_g=signs[1],
+            verdict=InterlaceVerdict.NOT_REAL_ROOTED, not_real_rooted=bad, **fields
         )
+    # Real rooted, so the root counts with multiplicity are the degrees.
     report = interlaces_by_roots(isolate_roots(f), isolate_roots(g), strict=strict)
-    return replace(report, lc_sign_f=signs[0], lc_sign_g=signs[1])
+    return replace(report, **fields)
 
 
 def default_alphas(
@@ -356,13 +340,7 @@ def default_alphas(
     rng = SplitMix64(seed)
     for _ in range(random_count):
         grid.append(rng.rational(DEFAULT_ALPHA_MAGNITUDE, DEFAULT_ALPHA_MAGNITUDE))
-    seen = set()
-    out = []
-    for a in grid:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+    return list(dict.fromkeys(grid))
 
 
 def pencil_scan(
@@ -385,13 +363,7 @@ def pencil_scan(
     if alphas is None:
         grid = default_alphas()
     else:
-        seen = set()
-        grid = []
-        for a in alphas:
-            a = as_rational(a)
-            if a not in seen:
-                seen.add(a)
-                grid.append(a)
+        grid = list(dict.fromkeys(as_rational(a) for a in alphas))
     witness = None
     for alpha in grid:
         if not is_real_rooted(lin_comb(f, g, alpha)) and witness is None:
@@ -416,14 +388,9 @@ def hko_crosscheck(
     The only inconsistent outcome is Interlaces alongside a pencil
     witness; that combination is mathematically impossible, so seeing
     it means the implementation is wrong somewhere.  A non-interlacing
-    pair with a fully real scan is flagged unfalsified instead.
+    pair with a fully real scan is flagged unfalsified instead.  A zero
+    input or a degree gap raises, as in interlaces_exact and pencil_scan.
     """
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("cross-check needs nonzero polynomials")
-    if f.degree != g.degree + 1:
-        raise DegreeMismatchError(
-            f"need deg f = deg g + 1, got {f.degree} and {g.degree}"
-        )
     interlace_report = interlaces_exact(f, g, strict=strict)
     pencil_report = pencil_scan(f, g, alphas=alphas)
     contradiction = (

@@ -230,8 +230,9 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic polynomial with the same real and complex roots, all simple."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero is undefined")
-    chain, _ = _intops.squarefree_sturm(_intops.from_fraction_coeffs(p.coeffs))
-    return Polynomial(chain[0]).monic()
+    ints = _intops.from_fraction_coeffs(p.coeffs)
+    gcd = _intops.sturm_chain(ints)[-1]
+    return Polynomial(_intops.exact_quotient(ints, gcd)).monic()
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:

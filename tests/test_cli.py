@@ -154,6 +154,24 @@ def test_malformed_inputs_exit_two(tmp_path):
     missing = run_cli("check", "--mode", "cauchy", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
 
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    result = run_cli("check", "--mode", "cauchy", str(not_utf8))
+    assert result.returncode == 2
+    assert "not_utf8.json" in result.stderr and "Traceback" not in result.stderr
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    result = run_cli("check", "--mode", "pencil", str(deep))
+    assert result.returncode == 2
+    assert "deep.json" in result.stderr and "Traceback" not in result.stderr
+
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"f": [' + "1" * 5000 + '], "g": ["1"]}')
+    result = run_cli("check", "--mode", "definition", str(long_int))
+    assert result.returncode == 2
+    assert "long_int.json" in result.stderr and "Traceback" not in result.stderr
+
 
 def test_quirky_fields_exit_two_naming_the_field(tmp_path):
     bool_size = tmp_path / "bool_size.json"
@@ -219,7 +237,7 @@ def test_gen_rejects_bad_flags():
     assert run_cli("gen", "--size-min", "0").returncode == 2
 
 
-@pytest.mark.parametrize("template", ["m_{i:q}.json", "m_{i}{j}.json"])
+@pytest.mark.parametrize("template", ["m_{i:q}.json", "m_{i}{j}.json", "m_{i:c}"])
 def test_gen_rejects_malformed_out_template(tmp_path, template):
     result = run_cli("gen", "--trials", "1", "--out", str(tmp_path / template))
     assert result.returncode == 2

@@ -279,3 +279,60 @@ def test_forward_direction_of_the_pencil_claim(values, alpha_raw):
     from interlacekit import is_real_rooted, lin_comb
 
     assert is_real_rooted(lin_comb(f, g, alpha))
+
+
+@st.composite
+def chain_candidates(draw):
+    """Root multisets for f (n roots) and g (n - 1), ties and repeats likely.
+
+    Half the draws split one sorted list alternately, so the weak chain
+    holds and the Interlaces direction is exercised as well.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    values = draw(st.lists(small, min_size=2 * n - 1, max_size=2 * n - 1))
+    if draw(st.booleans()):
+        values.sort()
+    return values[0::2], values[1::2]
+
+
+def brute_force_witness(roots_f, roots_g, strict):
+    """First broken inequality of r_k <= s_k <= r_{k+1}, or None."""
+    r = sorted(roots_f)
+    s = sorted(roots_g)
+    below = (lambda a, b: a < b) if strict else (lambda a, b: a <= b)
+    for k in range(len(s)):
+        if not below(r[k], s[k]):
+            return (k + 1, "lower")
+        if not below(s[k], r[k + 1]):
+            return (k + 1, "upper")
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_candidates(), st.booleans())
+def test_chain_walk_matches_brute_force(pair, strict):
+    roots_f, roots_g = pair
+    witness = brute_force_witness(roots_f, roots_g, strict)
+    merged = [None] * (2 * len(roots_f) - 1)
+    merged[0::2] = sorted(roots_f)
+    merged[1::2] = sorted(roots_g)
+    reports = (
+        interlaces_by_roots(collapse(roots_f), collapse(roots_g), strict=strict),
+        interlaces_exact(
+            Polynomial.from_roots(roots_f), Polynomial.from_roots(roots_g), strict=strict
+        ),
+    )
+    for report in reports:
+        assert report.strict == strict
+        assert report.failure_witness == witness
+        if witness is not None:
+            assert report.verdict == InterlaceVerdict.DOES_NOT_INTERLACE
+            assert report.chain_certificate is None
+            continue
+        assert report.verdict == InterlaceVerdict.INTERLACES
+        certificate = report.chain_certificate
+        assert [e.owner for e in certificate] == ["f", "g"] * len(roots_g) + ["f"]
+        assert len(certificate) == len(merged)
+        for entry, root in zip(certificate, merged):
+            assert entry.lo <= root <= entry.hi

@@ -9,7 +9,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from interlacekit import Polynomial, is_real_rooted, isolate_roots, squarefree_part
+from interlacekit import (
+    Polynomial,
+    is_real_rooted,
+    isolate_roots,
+    poly_gcd,
+    squarefree_part,
+)
 
 sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
@@ -53,3 +59,11 @@ def test_root_layer_agrees_with_sympy(seed):
 
     sqf = sympy.Poly(sympy.sqf_part(poly), x).monic()
     assert squarefree_part(p) == to_polynomial(sqf)
+
+    # A second polynomial sharing one irreducible factor of p, so the
+    # gcd is never trivial.
+    factors = [f for f, _ in sympy.factor_list(poly)[1]]
+    other = random_factored(seed + 1000) * factors[seed % len(factors)]
+    expected = sympy.gcd(poly, other).monic()
+    assert expected.degree() >= 1
+    assert poly_gcd(p, to_polynomial(other)) == to_polynomial(expected)
