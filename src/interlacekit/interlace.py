@@ -172,10 +172,7 @@ class _RootComparer:
             "f": [list(iv) for iv in roots_f.intervals],
             "g": [list(iv) for iv in roots_g.intervals],
         }
-        self._ints = {
-            "f": _intops.from_fraction_coeffs(roots_f.poly.coeffs),
-            "g": _intops.from_fraction_coeffs(roots_g.poly.coeffs),
-        }
+        self._ints = {"f": roots_f.carrier, "g": roots_g.carrier}
         self._shared: list[list[int]] | None | bool = None
 
     def interval(self, owner: str, idx: int) -> tuple[Fraction, Fraction]:

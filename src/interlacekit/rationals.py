@@ -10,6 +10,7 @@ floats never appear in any interchange format.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputFormatError
@@ -18,6 +19,14 @@ Rational = Fraction
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """The text quoted for an error message, cut to a prefix if long."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,16 +45,19 @@ def parse_rational(text: str) -> Fraction:
     num_part, sep, den_part = text.strip().partition("/")
     parts = (num_part, den_part) if sep else (num_part,)
     if not all(_INTEGER.fullmatch(part) for part in parts):
-        raise InputFormatError(f"invalid rational {text!r}")
+        raise InputFormatError(f"invalid rational {_echo(text)}")
     try:
         values = [int(part) for part in parts]
-    except ValueError:  # past int's limit on decimal digits
-        raise InputFormatError(f"invalid rational {text!r}") from None
+    except ValueError:  # only reachable past int's limit on decimal digits
+        raise InputFormatError(
+            f"invalid rational {_echo(text)}: an integer exceeds the"
+            f" interpreter's limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not sep:
         return Fraction(values[0])
     if values[1] <= 0:
         raise InputFormatError(
-            f"invalid rational {text!r}: denominator must be positive"
+            f"invalid rational {_echo(text)}: denominator must be positive"
         )
     return Fraction(*values)
 

@@ -28,16 +28,16 @@ DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    Every query runs on an integer chain: p's signed remainder sequence,
-    which ends at gcd(p, p') (kept for the multiplicity tower) and is
-    rebuilt from p / gcd only when that gcd is not constant.  Each
-    integer entry is a positive multiple of the matching entry of
-    ``chain``, so sign variations agree exactly.  ``chain`` itself is
-    the textbook rational sequence, built only on request as the
-    reference the integer chain is tested against.
+    The chain is p's signed remainder sequence on integers, which ends
+    at gcd(p, p') (kept for the multiplicity tower) and is rebuilt from
+    p / gcd only when that gcd is not constant.  Its first entry is the
+    primitive squarefree part with a positive leading coefficient, the
+    carrier that isolated roots keep.  Each entry is a positive multiple
+    of the matching entry of the textbook rational chain, so sign
+    variations agree exactly.
     """
 
-    __slots__ = ("_sqf", "_int_chain", "_gcd", "_rational_chain")
+    __slots__ = ("_int_chain", "_gcd")
 
     def __init__(self, p: Polynomial):
         if p.is_zero:
@@ -45,37 +45,13 @@ class SturmChain:
         chain, gcd = _intops.squarefree_sturm(_intops.from_fraction_coeffs(p.coeffs))
         object.__setattr__(self, "_int_chain", chain)
         object.__setattr__(self, "_gcd", gcd)
-        object.__setattr__(self, "_sqf", None)
-        object.__setattr__(self, "_rational_chain", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SturmChain is immutable")
 
     @property
-    def squarefree(self) -> Polynomial:
-        """Monic squarefree polynomial the chain was built from."""
-        if self._sqf is None:
-            object.__setattr__(self, "_sqf", Polynomial(self._int_chain[0]).monic())
-        return self._sqf
-
-    @property
     def degree(self) -> int:
         return len(self._int_chain[0]) - 1
-
-    @property
-    def chain(self) -> tuple[Polynomial, ...]:
-        """The textbook rational chain, built on first access."""
-        if self._rational_chain is None:
-            seq = [self.squarefree]
-            if seq[0].degree >= 1:
-                seq.append(seq[0].derivative())
-                while seq[-1].degree >= 1:
-                    rem = seq[-2] % seq[-1]
-                    if rem.is_zero:
-                        break
-                    seq.append(-rem)
-            object.__setattr__(self, "_rational_chain", tuple(seq))
-        return self._rational_chain
 
     def real_root_count(self) -> int:
         """Number of distinct real roots: V(-infinity) - V(+infinity)."""
@@ -156,25 +132,31 @@ class RootIntervals:
     degenerate pair lo == hi pins the root exactly, either because it
     was known (``from_roots``) or because a bisection midpoint landed on
     it.  ``multiplicities[k]`` is the root's multiplicity in the source
-    polynomial.  ``poly`` is the monic squarefree carrier whose sign
-    changes certify the open intervals; refinement queries evaluate it
-    and nothing else.
+    polynomial, and positive.  ``carrier`` is the squarefree part as
+    ascending integer coefficients, primitive with a positive leading
+    coefficient: the first entry of the Sturm chain.  Its sign changes
+    certify the open intervals; refinement and root comparison evaluate
+    it and nothing else.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     multiplicities: tuple[int, ...]
-    poly: Polynomial
+    carrier: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.intervals) != len(self.multiplicities):
             raise ValueError("one multiplicity per interval required")
-        prev_hi = None
+        if any(m < 1 for m in self.multiplicities):
+            raise ValueError("multiplicities must be positive")
+        prev_lo = prev_hi = None
         for (lo, hi) in self.intervals:
             if lo > hi:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
             if prev_hi is not None and lo < prev_hi:
                 raise ValueError("intervals must be sorted and non-overlapping")
-            prev_hi = hi
+            if prev_lo == prev_hi == lo == hi:
+                raise ValueError(f"point interval [{lo}, {hi}] appears twice")
+            prev_lo, prev_hi = lo, hi
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -193,17 +175,11 @@ class RootIntervals:
         rs = [as_rational(r) for r in roots]
         if multiplicities is None:
             multiplicities = [1] * len(rs)
-        if len(multiplicities) != len(rs):
-            raise ValueError("one multiplicity per root required")
-        if any(m < 1 for m in multiplicities):
-            raise ValueError("multiplicities must be positive")
-        if sorted(rs) != rs or len(set(rs)) != len(rs):
-            raise ValueError("roots must be strictly increasing")
-        carrier = Polynomial.from_roots(rs)
+        carrier = _intops.from_fraction_coeffs(Polynomial.from_roots(rs).coeffs)
         return cls(
             intervals=tuple((r, r) for r in rs),
             multiplicities=tuple(int(m) for m in multiplicities),
-            poly=carrier,
+            carrier=tuple(carrier),
         )
 
     def to_json_obj(self) -> list[dict]:
@@ -282,19 +258,20 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of zero")
     chain = SturmChain(p)
+    carrier = tuple(chain._int_chain[0])
     if chain.degree == 0:
-        return RootIntervals(intervals=(), multiplicities=(), poly=chain.squarefree)
+        return RootIntervals(intervals=(), multiplicities=(), carrier=carrier)
     intervals = _isolate_squarefree(chain)
     mults = _multiplicities(chain._gcd, intervals)
     return RootIntervals(
         intervals=tuple(intervals),
         multiplicities=tuple(mults),
-        poly=chain.squarefree,
+        carrier=carrier,
     )
 
 
 def _bisect_once(
-    p0: list[int], lo: Fraction, hi: Fraction
+    p0: Sequence[int], lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """One bisection step on an open interval where p0 changes sign.
 
@@ -325,7 +302,7 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     width = as_rational(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    p0 = _intops.from_fraction_coeffs(roots.poly.coeffs)
+    p0 = roots.carrier
     refined: list[tuple[Fraction, Fraction]] = []
     for lo, hi in roots.intervals:
         while hi - lo > width:
@@ -346,5 +323,5 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     return RootIntervals(
         intervals=tuple(refined),
         multiplicities=roots.multiplicities,
-        poly=roots.poly,
+        carrier=roots.carrier,
     )

@@ -173,6 +173,21 @@ def test_malformed_inputs_exit_two(tmp_path):
     assert "long_int.json" in result.stderr and "Traceback" not in result.stderr
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="interpreter has no int digit limit",
+)
+def test_digit_limit_coefficient_exits_two_briefly(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    pair = tmp_path / "long_coeff.json"
+    pair.write_text(json.dumps({"f": ["1" * (limit + 1), "1"], "g": ["1"]}))
+    result = run_cli("check", "--mode", "definition", str(pair))
+    assert result.returncode == 2
+    assert "long_coeff.json" in result.stderr
+    assert f"limit of {limit} digits" in result.stderr
+    assert len(result.stderr) < 300
+
+
 def test_quirky_fields_exit_two_naming_the_field(tmp_path):
     bool_size = tmp_path / "bool_size.json"
     bool_size.write_text(json.dumps({"n": True, "entries": [[["1", "0"]]]}))

@@ -12,17 +12,37 @@ from interlacekit import (
     ZeroPolynomialError,
     build_sturm,
     count_roots_in,
+    interlaces_by_roots,
     interlaces_exact,
     is_real_rooted,
     isolate_roots,
     refine_to,
+    squarefree_part,
 )
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
+def rational_chain(sturm):
+    """The textbook rational Sturm chain of the carrier a chain starts from.
+
+    Monic squarefree part, its derivative, then negated Fraction
+    remainders down to a constant: the reference the integer chain is
+    checked against.
+    """
+    seq = [Polynomial(sturm._int_chain[0]).monic()]
+    if seq[0].degree >= 1:
+        seq.append(seq[0].derivative())
+        while seq[-1].degree >= 1:
+            rem = seq[-2] % seq[-1]
+            if rem.is_zero:
+                break
+            seq.append(-rem)
+    return tuple(seq)
+
+
 def test_chain_of_x_squared_minus_one():
-    chain = build_sturm(Polynomial([-1, 0, 1])).chain
+    chain = rational_chain(build_sturm(Polynomial([-1, 0, 1])))
     assert chain == (
         Polynomial([-1, 0, 1]),
         Polynomial([0, 2]),
@@ -31,7 +51,7 @@ def test_chain_of_x_squared_minus_one():
 
 
 def test_chain_of_x_squared_plus_one():
-    chain = build_sturm(Polynomial([1, 0, 1])).chain
+    chain = rational_chain(build_sturm(Polynomial([1, 0, 1])))
     assert chain == (
         Polynomial([1, 0, 1]),
         Polynomial([0, 2]),
@@ -41,13 +61,13 @@ def test_chain_of_x_squared_plus_one():
 
 def test_chain_squarefrees_first():
     # (x-1)^2 collapses to x-1 before the chain is built
-    chain = build_sturm(Polynomial([1, -2, 1])).chain
+    chain = rational_chain(build_sturm(Polynomial([1, -2, 1])))
     assert chain == (Polynomial([-1, 1]), Polynomial([1]))
 
 
 def test_chain_of_constant():
     sturm = build_sturm(Polynomial([5]))
-    assert sturm.chain == (Polynomial([1]),)
+    assert rational_chain(sturm) == (Polynomial([1]),)
     assert count_roots_in(sturm, -10, 10) == 0
 
 
@@ -132,10 +152,10 @@ def test_isolation_of_rootless_polynomial():
     assert roots.total_multiplicity == 0
 
 
-def test_isolation_carrier_is_monic_squarefree():
+def test_isolation_carrier_is_integer_squarefree():
     p = 3 * Polynomial.from_roots([1, 1, 4])
     roots = isolate_roots(p)
-    assert roots.poly == Polynomial.from_roots([1, 4])
+    assert roots.carrier == (4, -5, 1)
 
 
 def test_refine_to_width_and_separation():
@@ -153,7 +173,7 @@ def test_refine_preserves_multiplicities_and_carrier():
     roots = isolate_roots(Polynomial.from_roots([-2, -2, 7]))
     narrow = refine_to(roots, F(1, 512))
     assert narrow.multiplicities == roots.multiplicities
-    assert narrow.poly == roots.poly
+    assert narrow.carrier == roots.carrier
 
 
 def test_refine_rejects_nonpositive_width():
@@ -169,7 +189,7 @@ def test_from_roots_point_intervals():
     assert ri.intervals == ((F(-1, 2), F(-1, 2)), (F(3), F(3)))
     assert ri.multiplicities == (2, 1)
     assert ri.total_multiplicity == 3
-    assert ri.poly == Polynomial.from_roots([F(-1, 2), 3])
+    assert ri.carrier == (-3, -5, 2)
 
 
 def test_from_roots_validation():
@@ -181,6 +201,11 @@ def test_from_roots_validation():
         RootIntervals.from_roots([1], [0])
     with pytest.raises(ValueError):
         RootIntervals.from_roots([1], [1, 1])
+    # The constructor itself holds the same checks.
+    with pytest.raises(ValueError):
+        RootIntervals(((F(1), F(1)), (F(1), F(1))), (1, 1), (-1, 1))
+    with pytest.raises(ValueError):
+        RootIntervals(((F(1), F(1)),), (0,), (-1, 1))
 
 
 def test_serialized_intervals():
@@ -256,11 +281,17 @@ def test_integer_chain_scales_the_textbook_chain(values, b, c, scale):
     # x^2 + b*x + c adds a complex pair when b^2 < 4c
     p = scale * Polynomial.from_roots(values) * Polynomial([c, b, 1])
     sturm = build_sturm(p)
-    assert len(sturm._int_chain) == len(sturm.chain)
-    for entry, reference in zip(sturm._int_chain, sturm.chain):
+    reference_chain = rational_chain(sturm)
+    assert len(sturm._int_chain) == len(reference_chain)
+    for entry, reference in zip(sturm._int_chain, reference_chain):
         ratio = entry[-1] / reference.leading_coefficient()
         assert ratio > 0
         assert Polynomial(entry) == ratio * reference
+    # Isolated roots keep the chain's first entry as their carrier.
+    roots = isolate_roots(p)
+    carrier = tuple(_intops.from_fraction_coeffs(squarefree_part(p).coeffs))
+    assert roots.carrier == carrier
+    assert refine_to(roots, F(1, 4096)).carrier == carrier
 
 
 def _count_calls(monkeypatch, names):
@@ -314,3 +345,16 @@ def test_squarefree_sturm_matches_gcd_then_chain(factors, scale):
     assert chain == _intops.sturm_chain(_intops.exact_quotient(ints, gcd))
     ratio = F(g[-1], gcd[-1])
     assert Polynomial(g) == ratio * Polynomial(gcd)
+
+
+def test_roots_convert_each_input_once(monkeypatch):
+    # One conversion per Sturm build; refinement and the comparer read
+    # the integer carriers as they are.
+    counts = _count_calls(monkeypatch, ("from_fraction_coeffs",))
+    f = Polynomial.from_roots([F(-1, 3), 1, 1, 4])
+    g = Polynomial.from_roots([0, 1, F(7, 2)])
+    report = interlaces_by_roots(
+        refine_to(isolate_roots(f), F(1, 64)), isolate_roots(g)
+    )
+    assert report.verdict.value == "Interlaces"
+    assert counts["from_fraction_coeffs"] == 2
