@@ -11,6 +11,7 @@ of the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -292,20 +293,29 @@ def _int_matmul(a: list[list[int]], bt: list[list[int]]) -> list[list[int]]:
 
 def _char_poly_gaussian_int(
     a_re: list[list[int]], a_im: list[list[int]]
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
     """Faddeev-LeVerrier on a Gaussian-integer matrix given as re/im parts.
 
     Returns the (re, im) parts of every coefficient of det(xI - A),
-    ascending.  For Gaussian integer matrices every division in the
-    recurrence is exact over the integers, so the whole run stays in
-    int arithmetic.  The divisions are checked anyway.
+    ascending, and the same for det(xI - A_i) for every i, where A_i is A
+    without row and column i.  The iterates M_1 = I, ..., M_n of the
+    recurrence are the coefficients of adj(xI - A) = sum M_k x**(n - k),
+    and by Cramer's rule diagonal entry (i, i) of that adjugate is
+    det(xI - A_i), so reading the iterates' diagonals yields every
+    principal submatrix polynomial from the one pass.  For Gaussian
+    integer matrices every division in the recurrence is exact over the
+    integers, so the whole run stays in int arithmetic.  The divisions
+    are checked anyway.
     """
     n = len(a_re)
     m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     m_im = [[0] * n for _ in range(n)]
     out = [(0, 0)] * (n + 1)
     out[n] = (1, 0)
+    subs = [[(0, 0)] * n for _ in range(n)]
     for k in range(1, n + 1):
+        for i in range(n):
+            subs[i][n - k] = (m_re[i][i], m_im[i][i])
         mt_re = [list(col) for col in zip(*m_re)]
         mt_im = [list(col) for col in zip(*m_im)]
         rr = _int_matmul(a_re, mt_re)
@@ -331,48 +341,83 @@ def _char_poly_gaussian_int(
             am_re[i][i] += q_re
             am_im[i][i] += q_im
         m_re, m_im = am_re, am_im
-    return out
+    return out, subs
 
 
-def char_poly(matrix: HermitianMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - A), exactly.
+def _real_poly(parts: list[tuple[int, int]], den: int, what: str) -> Polynomial:
+    """Polynomial with coefficient j equal to re_j / den**(d - j), d its degree.
+
+    Hermitian matrices have real characteristic coefficients; that is
+    asserted on the exact results, so a nonzero imaginary residue can
+    never be silently dropped.
+    """
+    d = len(parts) - 1
+    coeffs = []
+    for j, (re, im) in enumerate(parts):
+        if im != 0:
+            raise InternalInconsistencyError(
+                f"{what} {j} has nonzero imaginary part"
+                f" {Fraction(im, den ** (d - j))}"
+            )
+        coeffs.append(Fraction(re, den ** (d - j)))
+    return Polynomial(coeffs)
+
+
+def _char_polys(
+    matrix: HermitianMatrix,
+) -> tuple[Polynomial, tuple[Polynomial, ...]]:
+    """char(A) and char(A_i) for every deletion i, from one integer pass.
 
     One integer route serves every matrix: with D the least common
     denominator of all entry parts, DA is a Gaussian integer matrix, and
-    char(A)(x) = D**-n * char(DA)(D*x), so coefficient k of char(A) is
-    c_k / D**(n - k) for the coefficients c_k of char(DA).  Hermitian
-    matrices have real characteristic coefficients; that is asserted on
-    the exact results, so a nonzero imaginary residue can never be
-    silently dropped.
+    char(A)(x) = D**-n * char(DA)(D*x), so coefficient j of char(A) is
+    c_j / D**(n - j) for the coefficients c_j of char(DA).  DA_i is the
+    (n - 1)-square submatrix of DA, so coefficient j of char(A_i) is
+    divided by D**(n - 1 - j).
     """
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix(matrix)
-    n = matrix.n
     parts = [x for row in matrix.entries for c in row for x in (c.re, c.im)]
     den = lcm(*[x.denominator for x in parts])
     a_re = [[c.re.numerator * (den // c.re.denominator) for c in row]
             for row in matrix.entries]
     a_im = [[c.im.numerator * (den // c.im.denominator) for c in row]
             for row in matrix.entries]
-    coeffs = []
-    for k, (re, im) in enumerate(_char_poly_gaussian_int(a_re, a_im)):
-        if im != 0:
-            raise InternalInconsistencyError(
-                f"characteristic coefficient {k} has nonzero imaginary part"
-                f" {Fraction(im, den ** (n - k))}"
-            )
-        coeffs.append(Fraction(re, den ** (n - k)))
-    return Polynomial(coeffs)
+    full, subs = _char_poly_gaussian_int(a_re, a_im)
+    return _real_poly(full, den, "characteristic coefficient"), tuple(
+        _real_poly(sub, den, f"submatrix {i} characteristic coefficient")
+        for i, sub in enumerate(subs)
+    )
+
+
+def _as_hermitian(matrix) -> HermitianMatrix:
+    """The argument itself, or a plain grid through the checking constructor."""
+    if isinstance(matrix, HermitianMatrix):
+        return matrix
+    return HermitianMatrix(matrix)
+
+
+def char_poly(matrix: HermitianMatrix) -> Polynomial:
+    """Monic characteristic polynomial det(xI - A), exactly.
+
+    It comes from the one integer Faddeev-LeVerrier pass, which also
+    yields every principal submatrix polynomial.  A plain grid is
+    accepted and checked by the HermitianMatrix constructor.
+    """
+    return _char_polys(_as_hermitian(matrix))[0]
+
+
+def _check_deletion(n: int, k: int) -> None:
+    if not 0 <= k < n:
+        raise InputFormatError(
+            f"deletion index {k} out of range for a {n}x{n} matrix"
+        )
+    if n == 1:
+        raise InputFormatError("cannot delete the only row of a 1x1 matrix")
 
 
 def principal_submatrix(matrix: HermitianMatrix, k: int) -> HermitianMatrix:
     """Delete row k and column k (0-based)."""
-    if not 0 <= k < matrix.n:
-        raise InputFormatError(
-            f"deletion index {k} out of range for a {matrix.n}x{matrix.n} matrix"
-        )
-    if matrix.n == 1:
-        raise InputFormatError("cannot delete the only row of a 1x1 matrix")
+    matrix = _as_hermitian(matrix)
+    _check_deletion(matrix.n, k)
     rows = [
         tuple(c for j, c in enumerate(row) if j != k)
         for i, row in enumerate(matrix.entries)
@@ -422,8 +467,10 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     A_alpha is A with alpha added to its last diagonal entry and B is A
     without its last row and column.  Expanding det(xI - A_alpha) along
     the last row splits off exactly the alpha term, so equality must be
-    exact; any mismatch is reported, not rounded away.
+    exact; any mismatch is reported, not rounded away.  char(A) and
+    char(B) come from one pass over A.
     """
+    matrix = _as_hermitian(matrix)
     alpha = as_rational(alpha)
     n = matrix.n
     if n < 2:
@@ -431,10 +478,9 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     shifted_rows = [list(row) for row in matrix.entries]
     corner = shifted_rows[n - 1][n - 1]
     shifted_rows[n - 1][n - 1] = GaussianRational(corner.re + alpha, corner.im)
-    shifted = HermitianMatrix(shifted_rows)
-    b = principal_submatrix(matrix, n - 1)
-    lhs = char_poly(shifted)
-    rhs = char_poly(matrix) - alpha * char_poly(b)
+    lhs = char_poly(HermitianMatrix(shifted_rows))
+    full, subs = _char_polys(matrix)
+    rhs = full - alpha * subs[n - 1]
     return IdentityReport(
         n=n,
         alpha=alpha,
@@ -453,13 +499,32 @@ def eigen_intervals(
     that total is asserted on the certified count, so a shortfall raises
     instead of returning a silently wrong spectrum.
     """
-    spectrum = refine_to(isolate_roots(char_poly(matrix)), width)
-    if spectrum.total_multiplicity != matrix.n:
+    matrix = _as_hermitian(matrix)
+    return _spectrum(char_poly(matrix), matrix.n, width)
+
+
+def _spectrum(poly: Polynomial, n: int, width: Rational) -> RootIntervals:
+    """Roots of a characteristic polynomial of an n-square Hermitian matrix."""
+    spectrum = refine_to(isolate_roots(poly), width)
+    if spectrum.total_multiplicity != n:
         raise InternalInconsistencyError(
-            f"found {spectrum.total_multiplicity} eigenvalues for n = {matrix.n}",
+            f"found {spectrum.total_multiplicity} eigenvalues for n = {n}",
             report=spectrum,
         )
     return spectrum
+
+
+@lru_cache(maxsize=1)
+def _deletion_work(
+    matrix: HermitianMatrix, width: Rational
+) -> tuple[RootIntervals, tuple[Polynomial, ...]]:
+    """A's spectrum and every char(A_k): what all deletions of A share.
+
+    One entry suffices for callers that check every deletion of one
+    matrix in a row, and keeps no other matrix alive.
+    """
+    full, subs = _char_polys(matrix)
+    return _spectrum(full, matrix.n, width), subs
 
 
 @dataclass(frozen=True)
@@ -493,11 +558,14 @@ def cauchy_check(
 
     The eigenvalues of the submatrix must always interlace those of the
     full matrix, so any other verdict is raised as an internal
-    inconsistency carrying the offending report.
+    inconsistency carrying the offending report.  The full spectrum and
+    the submatrix polynomials are computed once per matrix and width and
+    shared by the calls for each k.
     """
-    spectrum = eigen_intervals(matrix, width)
-    sub = principal_submatrix(matrix, k)
-    sub_spectrum = eigen_intervals(sub, width)
+    matrix = _as_hermitian(matrix)
+    spectrum, sub_polys = _deletion_work(matrix, width)
+    _check_deletion(matrix.n, k)
+    sub_spectrum = _spectrum(sub_polys[k], matrix.n - 1, width)
     report = CauchyReport(
         n=matrix.n,
         deleted=k,

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import interlacekit.hermitian as hermitian
 from interlacekit import (
     GaussianRational,
     HermitianMatrix,
@@ -339,3 +340,134 @@ def test_matrix_json_diagnostics():
     }
     with pytest.raises(InputFormatError, match=r"\(0, 1\)"):
         HermitianMatrix.from_json_obj(lopsided)
+
+
+def scaled_sum(block, q):
+    """(B (+) B) / q: every eigenvalue of B appears twice."""
+    half = block.n
+    rows = [[GR(0)] * (2 * half) for _ in range(2 * half)]
+    for i, row in enumerate(block.entries):
+        for j, c in enumerate(row):
+            rows[i][j] = rows[half + i][half + j] = GaussianRational(c.re / q, c.im / q)
+    return HermitianMatrix(rows)
+
+
+def rational_hermitian(rng, n):
+    rows = [[GR(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GR(rng.rational(20, 9))
+        for j in range(i + 1, n):
+            rows[i][j] = GR(rng.rational(20, 9), rng.rational(20, 9))
+            rows[j][i] = rows[i][j].conjugate()
+    return HermitianMatrix(rows)
+
+
+def one_pass_cases():
+    for trial in range(14):
+        rng = trial_rng(4242, trial)
+        yield random_hermitian(rng, 2 + trial % 7, 10)
+        yield rational_hermitian(rng, 2 + trial % 5)
+    for half, q in ((1, 2), (2, 3), (3, 7), (4, 5)):
+        yield scaled_sum(random_hermitian(trial_rng(99, half), half, 10), q)
+
+
+def test_one_pass_yields_every_submatrix_char_poly():
+    sizes = set()
+    for m in one_pass_cases():
+        full, subs = hermitian._char_polys(m)
+        assert full == char_poly(m)
+        assert len(subs) == m.n
+        for k, sub in enumerate(subs):
+            assert sub == char_poly(principal_submatrix(m, k))
+        sizes.add(m.n)
+    assert sizes >= set(range(2, 9))
+
+
+def test_bordered_identity_sides_match_separate_char_polys():
+    for m in one_pass_cases():
+        for alpha in (F(3), F(-7, 4)):
+            n = m.n
+            rows = [list(row) for row in m.entries]
+            rows[n - 1][n - 1] = rows[n - 1][n - 1] + alpha
+            report = bordered_identity(m, alpha)
+            assert report.lhs == char_poly(HermitianMatrix(rows))
+            assert report.rhs == (
+                char_poly(m) - alpha * char_poly(principal_submatrix(m, n - 1))
+            )
+            assert report.exact_match
+
+
+def count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(hermitian, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, name, counted)
+    return counts
+
+
+def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
+    m = random_hermitian(SplitMix64(71), 6, 10)
+    hermitian._deletion_work.cache_clear()
+    counts = count_calls(
+        monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix"
+    )
+    for k in range(m.n):
+        assert cauchy_check(m, k).verdict == InterlaceVerdict.INTERLACES
+    assert counts == {
+        "_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1, "principal_submatrix": 0
+    }
+    counts["_char_poly_gaussian_int"] = 0
+    assert bordered_identity(m, F(5, 2)).exact_match
+    assert counts["_char_poly_gaussian_int"] == 2
+    assert counts["principal_submatrix"] == 0
+
+
+def test_shared_cauchy_work_matches_fresh_calls():
+    a = random_hermitian(SplitMix64(3), 5, 10)
+    b = scaled_sum(random_hermitian(SplitMix64(4), 2, 10), 3)
+    calls = [(m, k, w) for k in range(4) for w in (F(1, 8), F(1, 2 ** 20)) for m in (a, b)]
+    shared = [cauchy_check(m, k, w).as_dict() for m, k, w in calls]
+    fresh = []
+    for m, k, w in calls:
+        hermitian._deletion_work.cache_clear()
+        fresh.append(cauchy_check(m, k, w).as_dict())
+    assert shared == fresh
+
+
+def test_cauchy_check_argument_errors_keep_their_text():
+    m = HermitianMatrix.diagonal([1, 2, 3])
+    with pytest.raises(InputFormatError, match=r"^deletion index 3 out of range for a 3x3 matrix$"):
+        cauchy_check(m, 3)
+    with pytest.raises(InputFormatError, match=r"^deletion index -1 out of range"):
+        cauchy_check(m, -1)
+    with pytest.raises(InputFormatError, match=r"^cannot delete the only row of a 1x1 matrix$"):
+        cauchy_check(HermitianMatrix.diagonal([4]), 0)
+    with pytest.raises(ValueError, match=r"^width must be positive, got 0$"):
+        cauchy_check(m, 0, 0)
+    with pytest.raises(ValueError, match=r"^width must be positive, got -1/2$"):
+        cauchy_check(m, 7, F(-1, 2))
+
+
+PLAIN_GRID = [[GR(2), GR(1, 1)], [GR(1, -1), GR(3)]]
+NOT_HERMITIAN = [[GR(2), GR(1, 1)], [GR(1, 1), GR(3)]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: eigen_intervals(m, F(1, 16)).intervals,
+        lambda m: cauchy_check(m, 1).as_dict(),
+        lambda m: principal_submatrix(m, 0),
+        lambda m: bordered_identity(m, F(1, 3)).as_dict(),
+    ],
+    ids=["eigen_intervals", "cauchy_check", "principal_submatrix", "bordered_identity"],
+)
+def test_plain_grids_are_coerced_and_checked(call):
+    assert call(PLAIN_GRID) == call(HermitianMatrix(PLAIN_GRID))
+    with pytest.raises(InputFormatError, match=r"not Hermitian: entry \(0, 1\)"):
+        call(NOT_HERMITIAN)
