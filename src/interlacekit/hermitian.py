@@ -11,7 +11,6 @@ of the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -364,16 +363,17 @@ def _real_poly(parts: list[tuple[int, int]], den: int, what: str) -> Polynomial:
 
 
 def _char_polys(
-    matrix: HermitianMatrix,
+    matrix: HermitianMatrix, deletions: Iterable[int]
 ) -> tuple[Polynomial, tuple[Polynomial, ...]]:
-    """char(A) and char(A_i) for every deletion i, from one integer pass.
+    """char(A) and char(A_i) for each listed deletion i, from one integer pass.
 
     One integer route serves every matrix: with D the least common
     denominator of all entry parts, DA is a Gaussian integer matrix, and
     char(A)(x) = D**-n * char(DA)(D*x), so coefficient j of char(A) is
     c_j / D**(n - j) for the coefficients c_j of char(DA).  DA_i is the
     (n - 1)-square submatrix of DA, so coefficient j of char(A_i) is
-    divided by D**(n - 1 - j).
+    divided by D**(n - 1 - j).  Only the listed deletions are turned
+    into Fraction polynomials.
     """
     parts = [x for row in matrix.entries for c in row for x in (c.re, c.im)]
     den = lcm(*[x.denominator for x in parts])
@@ -383,8 +383,8 @@ def _char_polys(
             for row in matrix.entries]
     full, subs = _char_poly_gaussian_int(a_re, a_im)
     return _real_poly(full, den, "characteristic coefficient"), tuple(
-        _real_poly(sub, den, f"submatrix {i} characteristic coefficient")
-        for i, sub in enumerate(subs)
+        _real_poly(subs[i], den, f"submatrix {i} characteristic coefficient")
+        for i in deletions
     )
 
 
@@ -402,7 +402,7 @@ def char_poly(matrix: HermitianMatrix) -> Polynomial:
     yields every principal submatrix polynomial.  A plain grid is
     accepted and checked by the HermitianMatrix constructor.
     """
-    return _char_polys(_as_hermitian(matrix))[0]
+    return _char_polys(_as_hermitian(matrix), ())[0]
 
 
 def _check_deletion(n: int, k: int) -> None:
@@ -479,8 +479,8 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     corner = shifted_rows[n - 1][n - 1]
     shifted_rows[n - 1][n - 1] = GaussianRational(corner.re + alpha, corner.im)
     lhs = char_poly(HermitianMatrix(shifted_rows))
-    full, subs = _char_polys(matrix)
-    rhs = full - alpha * subs[n - 1]
+    full, (sub,) = _char_polys(matrix, (n - 1,))
+    rhs = full - alpha * sub
     return IdentityReport(
         n=n,
         alpha=alpha,
@@ -514,17 +514,31 @@ def _spectrum(poly: Polynomial, n: int, width: Rational) -> RootIntervals:
     return spectrum
 
 
-@lru_cache(maxsize=1)
+# (matrix, width, work) of the last _deletion_work call, or None.
+_last_deletion_work = None
+
+
 def _deletion_work(
     matrix: HermitianMatrix, width: Rational
 ) -> tuple[RootIntervals, tuple[Polynomial, ...]]:
     """A's spectrum and every char(A_k): what all deletions of A share.
 
-    One entry suffices for callers that check every deletion of one
-    matrix in a row, and keeps no other matrix alive.
+    The work of the last call is reused when the same matrix object comes
+    back with an equal width, as it does when a caller checks every
+    deletion of one matrix in a row.  The test is identity, not
+    equality: it costs no hashing of entries, and an equal matrix built
+    afresh (say, parsed again from its file) is worked out again, so
+    one input's work never stands in for another's.  Only one matrix is
+    kept alive.
     """
-    full, subs = _char_polys(matrix)
-    return _spectrum(full, matrix.n, width), subs
+    global _last_deletion_work
+    last = _last_deletion_work
+    if last is not None and last[0] is matrix and last[1] == width:
+        return last[2]
+    full, subs = _char_polys(matrix, range(matrix.n))
+    work = (_spectrum(full, matrix.n, width), subs)
+    _last_deletion_work = (matrix, width, work)
+    return work
 
 
 @dataclass(frozen=True)
@@ -559,8 +573,8 @@ def cauchy_check(
     The eigenvalues of the submatrix must always interlace those of the
     full matrix, so any other verdict is raised as an internal
     inconsistency carrying the offending report.  The full spectrum and
-    the submatrix polynomials are computed once per matrix and width and
-    shared by the calls for each k.
+    the submatrix polynomials are computed once per matrix object and
+    width and shared by the calls for each k.
     """
     matrix = _as_hermitian(matrix)
     spectrum, sub_polys = _deletion_work(matrix, width)

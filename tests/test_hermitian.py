@@ -374,7 +374,7 @@ def one_pass_cases():
 def test_one_pass_yields_every_submatrix_char_poly():
     sizes = set()
     for m in one_pass_cases():
-        full, subs = hermitian._char_polys(m)
+        full, subs = hermitian._char_polys(m, range(m.n))
         assert full == char_poly(m)
         assert len(subs) == m.n
         for k, sub in enumerate(subs):
@@ -412,7 +412,7 @@ def count_calls(monkeypatch, *names):
 
 def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     m = random_hermitian(SplitMix64(71), 6, 10)
-    hermitian._deletion_work.cache_clear()
+    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
     counts = count_calls(
         monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix"
     )
@@ -427,14 +427,35 @@ def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     assert counts["principal_submatrix"] == 0
 
 
-def test_shared_cauchy_work_matches_fresh_calls():
+def test_an_equal_matrix_built_afresh_does_not_reuse_the_work(monkeypatch):
+    m = random_hermitian(SplitMix64(72), 4, 10)
+    counts = count_calls(monkeypatch, "_char_poly_gaussian_int")
+    cauchy_check(m, 0)
+    cauchy_check(m, 1)
+    assert counts["_char_poly_gaussian_int"] == 1
+    again = HermitianMatrix(m.entries)
+    assert again == m
+    cauchy_check(again, 0)
+    assert counts["_char_poly_gaussian_int"] == 2
+
+
+def test_shared_cauchy_work_matches_fresh_calls(monkeypatch):
     a = random_hermitian(SplitMix64(3), 5, 10)
     b = scaled_sum(random_hermitian(SplitMix64(4), 2, 10), 3)
-    calls = [(m, k, w) for k in range(4) for w in (F(1, 8), F(1, 2 ** 20)) for m in (a, b)]
+    widths = (F(1, 8), F(1, 2 ** 20))
+    # Runs of calls on one matrix and width reuse the work; the width
+    # changes between runs on the same matrix, and a last block
+    # alternates the matrices so that every call starts afresh.
+    runs = [(m, w) for m in (a, b) for w in widths] + [(a, w) for w in widths]
+    calls = [(m, k, w) for m, w in runs for k in range(4)]
+    calls += [(m, k, widths[0]) for k in range(4) for m in (a, b)]
+    counts = count_calls(monkeypatch, "_char_poly_gaussian_int")
+    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
     shared = [cauchy_check(m, k, w).as_dict() for m, k, w in calls]
+    assert counts["_char_poly_gaussian_int"] == len(runs) + 8
     fresh = []
     for m, k, w in calls:
-        hermitian._deletion_work.cache_clear()
+        monkeypatch.setattr(hermitian, "_last_deletion_work", None)
         fresh.append(cauchy_check(m, k, w).as_dict())
     assert shared == fresh
 
