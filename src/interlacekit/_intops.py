@@ -6,6 +6,12 @@ Rational polynomials enter by clearing denominators, which multiplies
 them by a positive rational.  Root sets, signs at a point, and sign
 variation counts are all invariant under that scaling, and those are
 the only properties callers read back out.
+
+Two steps do all the division.  ``neg_signed_prem`` scales the running
+remainder by |lc(g)| before each subtraction, so every Sturm entry is a
+positive multiple of its rational counterpart and no quotient is built;
+``exact_quotient`` divides by a primitive divisor with plain integer
+long division, which Gauss's lemma makes exact.
 """
 
 from __future__ import annotations
@@ -79,65 +85,53 @@ def eval_sign_at(coeffs: IntPoly, point: Fraction) -> int:
     return eval_sign(coeffs, point.numerator, point.denominator)
 
 
-def pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(q, r) with lc(g)**(deg f - deg g + 1) * f == q*g + r, deg r < deg g.
-
-    Requires deg f >= deg g >= 0.  The scale factor keeps every division
-    exact over the integers; no rationals are formed.
-    """
-    dg = len(g) - 1
-    lg = g[-1]
-    r = list(f)
-    q = [0] * (len(f) - dg)
-    steps = len(q)
-    while r and len(r) - 1 >= dg:
-        lead = r[-1]
-        shift = len(r) - len(g)
-        r = [lg * c for c in r]
-        q = [lg * c for c in q]
-        q[shift] += lead
-        for i in range(len(g)):
-            r[shift + i] -= lead * g[i]
-        r.pop()
-        trim(r)
-        steps -= 1
-    if steps > 0:
-        m = lg ** steps
-        q = [m * c for c in q]
-        r = [m * c for c in r]
-    return q, r
-
-
 def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """A positive multiple of -rem(f, g), content stripped.
 
-    pseudo_divmod scales rem(f, g) by lc(g)**delta; when that factor is
-    negative the signs would flip relative to the true remainder, which
-    would corrupt Sturm sign variation counts, so flip them back.
+    Requires deg f >= deg g >= 0.  Each step scales the running
+    remainder by |lc(g)| and subtracts sign(lc g) * lead * g * x**shift,
+    which cancels the lead term and keeps the remainder a positive
+    multiple of the rational one; no quotient is formed.
     """
-    r = pseudo_divmod(f, g)[1]
-    delta = len(f) - len(g) + 1
-    if g[-1] < 0 and delta % 2 == 1:
-        r = [-c for c in r]
+    dg = len(g) - 1
+    scale = abs(g[-1])
+    sign = 1 if g[-1] > 0 else -1
+    r = list(f)
+    while len(r) > dg:
+        lead = sign * r.pop()
+        shift = len(r) - dg
+        r = [scale * c for c in r]
+        for i in range(dg):
+            r[shift + i] -= lead * g[i]
+        trim(r)
     return primitive([-c for c in r])
 
 
 def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive positive multiple of p / g, for a divisor g of p.
+    """Primitive positive multiple of p / g, for a primitive divisor g of p.
 
-    The pseudo-quotient is a nonzero multiple of the exact quotient; its
-    sign is fixed last.  A g that leaves a remainder raises.
+    By Gauss's lemma p / g then has integer coefficients, so plain
+    integer long division is exact at every step.  An inexact step or a
+    nonzero leftover means g does not divide p, and raises.
     """
-    if len(g) > 1:
-        p, rem = pseudo_divmod(p, g)
-        if rem:
+    dg = len(g) - 1
+    r = list(p)
+    q = [0] * (len(p) - dg)
+    for shift in range(len(q) - 1, -1, -1):
+        lead, rest = divmod(r[shift + dg], g[-1])
+        if rest:
             raise InternalInconsistencyError("gcd does not divide its argument")
-    p = primitive(p)
-    return p if p[-1] > 0 else [-c for c in p]
+        q[shift] = lead
+        for i in range(dg):
+            r[shift + i] -= lead * g[i]
+    if any(r[:dg]):
+        raise InternalInconsistencyError("gcd does not divide its argument")
+    q = primitive(q)
+    return q if q[-1] > 0 else [-c for c in q]
 
 
 def remainder_sequence(p: IntPoly, q: IntPoly) -> list[IntPoly]:
-    """Signed pseudo-remainder sequence of p and q, ending at gcd(p, q).
+    """Signed remainder sequence of p and q, ending at gcd(p, q).
 
     Requires deg p >= deg q.  Entries are primitive; each is a positive
     multiple of the textbook entry p, q, -rem(p, q), ..., so sign

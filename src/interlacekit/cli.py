@@ -386,10 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     check_only = {}
     if args.command == "check":
+        try:
+            width = parse_rational(args.width)
+        except InputFormatError as exc:
+            raise InputFormatError(f"--width: {exc}") from None
         check_only = {
             "mode": args.mode,
             "alphas": args.alphas,
-            "width": parse_rational(args.width),
+            "width": width,
             "inputs": tuple(args.inputs),
         }
     return RunConfig(

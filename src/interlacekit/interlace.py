@@ -316,25 +316,24 @@ def interlaces_exact(
 
 
 def default_alphas(
-    seed: int = DEFAULT_ALPHA_SEED,
     random_count: int = DEFAULT_ALPHA_RANDOM_COUNT,
-    max_power: int = DEFAULT_ALPHA_MAX_POWER,
 ) -> list[Fraction]:
     """The standard scan grid: zero, signed powers of two, seeded randoms.
 
-    Deterministic for fixed arguments.  Order matters because the first
+    Deterministic for a fixed count.  Order matters because the first
     failing entry becomes the reported witness: 0 first, then 2**k and
-    -2**k for k from -1 up to max_power, then random_count rationals
-    with numerator in [-10^4, 10^4] and denominator in [1, 10^4] drawn
-    from a splitmix64 stream.  Duplicates are dropped, keeping first
+    -2**k for k from -1 up to DEFAULT_ALPHA_MAX_POWER, then random_count
+    rationals with numerator in [-10^4, 10^4] and denominator in
+    [1, 10^4] drawn from a splitmix64 stream seeded with
+    DEFAULT_ALPHA_SEED.  Duplicates are dropped, keeping first
     occurrence.
     """
     grid: list[Fraction] = [Fraction(0)]
-    for k in range(-1, max_power + 1):
+    for k in range(-1, DEFAULT_ALPHA_MAX_POWER + 1):
         step = Fraction(2) ** k
         grid.append(step)
         grid.append(-step)
-    rng = SplitMix64(seed)
+    rng = SplitMix64(DEFAULT_ALPHA_SEED)
     for _ in range(random_count):
         grid.append(rng.rational(DEFAULT_ALPHA_MAGNITUDE, DEFAULT_ALPHA_MAGNITUDE))
     return list(dict.fromkeys(grid))

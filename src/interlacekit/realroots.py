@@ -53,23 +53,6 @@ class SturmChain:
     def degree(self) -> int:
         return len(self._int_chain[0]) - 1
 
-    def real_root_count(self) -> int:
-        """Number of distinct real roots: V(-infinity) - V(+infinity)."""
-        down = _intops.variations_at_infinity(self._int_chain, -1)
-        up = _intops.variations_at_infinity(self._int_chain, 1)
-        return down - up
-
-    def variations_at(self, point: Fraction) -> int:
-        return _intops.variations_at(self._int_chain, point)
-
-    def sign_at(self, point: Fraction) -> int:
-        """Sign of the squarefree part at a rational point."""
-        return _intops.eval_sign_at(self._int_chain[0], point)
-
-    def root_bound(self) -> Fraction:
-        """Strict bound B: every real root r satisfies -B < r < B."""
-        return _intops.cauchy_bound(self._int_chain[0])
-
 
 def build_sturm(p: Polynomial) -> SturmChain:
     return SturmChain(p)
@@ -88,11 +71,12 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
         raise ValueError(f"empty interval: need lo < hi, got [{lo}, {hi}]")
     if chain.degree == 0:
         return 0
-    if chain.sign_at(lo) == 0:
+    ints = chain._int_chain
+    if _intops.eval_sign_at(ints[0], lo) == 0:
         raise EndpointRootError(f"lower endpoint {lo} is a root")
-    if chain.sign_at(hi) == 0:
+    if _intops.eval_sign_at(ints[0], hi) == 0:
         raise EndpointRootError(f"upper endpoint {hi} is a root")
-    return chain.variations_at(lo) - chain.variations_at(hi)
+    return _intops.variations_at(ints, lo) - _intops.variations_at(ints, hi)
 
 
 def _safe_outer_bracket(chain: SturmChain) -> tuple[Fraction, Fraction]:
@@ -102,8 +86,9 @@ def _safe_outer_bracket(chain: SturmChain) -> tuple[Fraction, Fraction]:
     root; if one is, the bound is wrong, and that raises
     InternalInconsistencyError instead of being nudged away.
     """
-    bound = chain.root_bound()
-    if chain.sign_at(bound) == 0 or chain.sign_at(-bound) == 0:
+    p0 = chain._int_chain[0]
+    bound = _intops.cauchy_bound(p0)
+    if 0 in (_intops.eval_sign_at(p0, bound), _intops.eval_sign_at(p0, -bound)):
         raise InternalInconsistencyError(f"Cauchy bound {bound} is a root")
     return -bound, bound
 
@@ -120,7 +105,10 @@ def is_real_rooted(p: Polynomial) -> bool:
     if p.is_zero:
         raise ZeroPolynomialError("is_real_rooted is undefined for zero")
     chain = SturmChain(p)
-    return chain.real_root_count() == chain.degree
+    ints = chain._int_chain
+    down = _intops.variations_at_infinity(ints, -1)
+    up = _intops.variations_at_infinity(ints, 1)
+    return down - up == chain.degree
 
 
 @dataclass(frozen=True)
@@ -195,10 +183,11 @@ class RootIntervals:
 
 def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals, one distinct real root in each."""
-    p0 = chain._int_chain[0]
+    ints = chain._int_chain
+    p0 = ints[0]
     lo, hi = _safe_outer_bracket(chain)
-    v_lo = chain.variations_at(lo)
-    v_hi = chain.variations_at(hi)
+    v_lo = _intops.variations_at(ints, lo)
+    v_hi = _intops.variations_at(ints, hi)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, v_lo, v_hi)]
     while stack:
@@ -221,7 +210,7 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
             raise InternalInconsistencyError(
                 "could not find a non-root split point"
             )
-        v_mid = chain.variations_at(mid)
+        v_mid = _intops.variations_at(ints, mid)
         stack.append((mid, b, v_mid, vb))
         stack.append((a, mid, va, v_mid))
     return out

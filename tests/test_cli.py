@@ -213,7 +213,10 @@ def test_flag_validation_exits_two(tmp_path):
     assert run_cli("check", "--trials", "0").returncode == 2
     assert run_cli("check", "--size-min", "5", "--size-max", "3").returncode == 2
     assert run_cli("check", "--width", "0").returncode == 2
-    assert run_cli("check", "--width", "nope").returncode == 2
+    for width in ("nope", "1/0"):
+        result = run_cli("check", "--width", width)
+        assert result.returncode == 2
+        assert "--width" in result.stderr
     assert run_cli("check", "--mode", "cauchy", "--size-min", "1").returncode == 2
     pair = tmp_path / "p.json"
     pair.write_text(json.dumps({"f": ["0", "1"], "g": ["1"]}))

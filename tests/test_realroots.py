@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from interlacekit import _intops
 from interlacekit import (
     EndpointRootError,
+    InternalInconsistencyError,
     Polynomial,
     RootIntervals,
     ZeroPolynomialError,
@@ -308,19 +309,61 @@ def _count_calls(monkeypatch, names):
 
 
 def test_sturm_builds_run_one_remainder_sequence(monkeypatch):
-    counts = _count_calls(monkeypatch, ("pseudo_divmod", "poly_gcd"))
+    counts = _count_calls(monkeypatch, ("neg_signed_prem", "poly_gcd"))
     for p in (
         Polynomial.from_roots(range(-6, 6)),
         Polynomial.from_roots([F(-1, 3), 2, 5]) * Polynomial([1, 0, 1]),
     ):
         counts.update(dict.fromkeys(counts, 0))
         is_real_rooted(p)
-        assert counts["pseudo_divmod"] <= p.degree
+        assert counts["neg_signed_prem"] <= p.degree
         assert counts["poly_gcd"] == 0
     counts.update(dict.fromkeys(counts, 0))
     roots = isolate_roots(Polynomial.from_roots([-1, -1, 1, 1, 1, 2]))
     assert roots.multiplicities == (2, 3, 1)
     assert counts["poly_gcd"] == 0
+
+
+def int_poly(degree):
+    """Ascending integer coefficients of the given degree."""
+    body = st.lists(st.integers(-40, 40), min_size=degree, max_size=degree)
+    return st.builds(lambda c, lc: c + [lc], body, st.integers(-40, 40).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_neg_signed_prem_is_positive_multiple_of_negated_remainder(dg, gap, data):
+    # lc(g) takes both signs and gap = deg f - deg g takes both
+    # parities, the two things a lc(g)**(gap + 1) scaling would flip.
+    g = data.draw(int_poly(dg))
+    f = data.draw(int_poly(dg + gap))
+    r = _intops.neg_signed_prem(f, g)
+    reference = -(Polynomial(f) % Polynomial(g))
+    assert r == _intops.primitive(r)
+    if reference.is_zero:
+        assert r == []
+        return
+    ratio = F(r[-1]) / reference.leading_coefficient()
+    assert ratio > 0
+    assert Polynomial(r) == ratio * reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_exact_quotient_divides_out_a_primitive_factor(dp, dq, data):
+    p = data.draw(int_poly(dp))
+    q = _intops.primitive(data.draw(int_poly(dq)))
+    pq = [int(c) for c in (Polynomial(p) * Polynomial(q)).coeffs]
+    expected = _intops.primitive(p if p[-1] > 0 else [-c for c in p])
+    assert _intops.exact_quotient(pq, q) == expected
+
+
+def test_exact_quotient_rejects_non_divisors():
+    # x / (2x + 1) fails at an inexact step, (x^2 + 1) / (x - 1) on the
+    # leftover, and a divisor of higher degree at once.
+    for p, g in (([0, 1], [1, 2]), ([1, 0, 1], [-1, 1]), ([1, 1], [1, 0, 1])):
+        with pytest.raises(InternalInconsistencyError):
+            _intops.exact_quotient(p, g)
 
 
 small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
