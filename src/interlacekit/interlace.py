@@ -22,11 +22,11 @@ from typing import Sequence
 
 from . import _intops
 from .errors import DegreeMismatchError, ZeroPolynomialError
-from .polynomials import Polynomial, lin_comb
+from .polynomials import Polynomial
 from .rationals import as_rational, format_rational
 from .realroots import (
     RootIntervals,
-    _bisect_once,
+    _bisect,
     is_real_rooted,
     isolate_roots,
 )
@@ -186,44 +186,32 @@ class _RootComparer:
             self._shared = _intops.squarefree_sturm(h)[0] if len(h) >= 2 else False
         return self._shared or None
 
-    def _refine(self, owner: str, idx: int) -> None:
-        box = self._state[owner][idx]
-        if box[0] != box[1]:
-            box[:] = _bisect_once(self._ints[owner], box[0], box[1])
-
     def compare(self, a: tuple[str, int], b: tuple[str, int]) -> int:
         """-1, 0, or +1 as root a is below, equal to, or above root b."""
-        owner_a, ia = a
-        owner_b, ib = b
+        box_a = self._state[a[0]][a[1]]
+        box_b = self._state[b[0]][b[1]]
         while True:
-            a_lo, a_hi = self._state[owner_a][ia]
-            b_lo, b_hi = self._state[owner_b][ib]
+            (a_lo, a_hi), (b_lo, b_hi) = box_a, box_b
             if a_lo == a_hi and b_lo == b_hi:
                 return (a_lo > b_lo) - (a_lo < b_lo)
-            if a_lo == a_hi:
-                if a_lo <= b_lo:
-                    return -1
-                if a_lo >= b_hi:
-                    return 1
-                if _intops.eval_sign_at(self._ints[owner_b], a_lo) == 0:
-                    return 0
-                self._refine(owner_b, ib)
-                continue
-            if b_lo == b_hi:
-                return -self.compare(b, a)
             if a_hi <= b_lo:
                 return -1
             if b_hi <= a_lo:
                 return 1
+            # Endpoints of an open bracket are not roots, so a root of
+            # gcd(f, g) in the closed overlap is the root both brackets hold.
             shared = self._shared_chain()
             if shared is not None:
-                lo = max(a_lo, b_lo)
-                hi = min(a_hi, b_hi)
-                below = _intops.variations_at(shared, lo)
-                if below > _intops.variations_at(shared, hi):
+                lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+                if lo == hi:
+                    tie = _intops.eval_sign_at(shared[0], lo) == 0
+                else:
+                    below = _intops.variations_at(shared, lo)
+                    tie = below > _intops.variations_at(shared, hi)
+                if tie:
                     return 0
-            self._refine(owner_a, ia)
-            self._refine(owner_b, ib)
+            box_a[:] = _bisect(self._ints[a[0]], a_lo, a_hi, 1)
+            box_b[:] = _bisect(self._ints[b[0]], b_lo, b_hi, 1)
 
 
 def _expand(owner: str, mults: Sequence[int]) -> list[tuple[str, int]]:
@@ -360,9 +348,20 @@ def pencil_scan(
         grid = default_alphas()
     else:
         grid = list(dict.fromkeys(as_rational(a) for a in alphas))
+    # F and G are positive multiples of f and g.  For alpha*scale = a/b
+    # with b > 0, b*F + a*G is a positive multiple of f + alpha*g, so its
+    # Sturm chain is the same, and it is formed without Fraction arithmetic.
+    big_f = _intops.from_fraction_coeffs(f.coeffs)
+    big_g = _intops.from_fraction_coeffs(g.coeffs)
+    scale = (
+        big_f[-1] * g.leading_coefficient() / (f.leading_coefficient() * big_g[-1])
+    )
     witness = None
     for alpha in grid:
-        if not is_real_rooted(lin_comb(f, g, alpha)) and witness is None:
+        ratio = alpha * scale
+        a, b = ratio.numerator, ratio.denominator
+        member = [b * x + a * y for x, y in zip(big_f, big_g + [0])]
+        if not is_real_rooted(Polynomial(member)) and witness is None:
             witness = alpha
     return PencilReport(
         alphas_tested=tuple(grid),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Sequence
 
 from . import _intops
@@ -186,8 +187,9 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     ints = chain._int_chain
     p0 = ints[0]
     lo, hi = _safe_outer_bracket(chain)
-    v_lo = _intops.variations_at(ints, lo)
-    v_hi = _intops.variations_at(ints, hi)
+    # No root lies outside (-B, B), so V(-B) = V(-inf) and V(B) = V(+inf).
+    v_lo = _intops.variations_at_infinity(ints, -1)
+    v_hi = _intops.variations_at_infinity(ints, 1)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, v_lo, v_hi)]
     while stack:
@@ -259,56 +261,61 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
     )
 
 
-def _bisect_once(
-    p0: Sequence[int], lo: Fraction, hi: Fraction
+def _bisect(
+    p0: Sequence[int], lo: Fraction, hi: Fraction, steps: int
 ) -> tuple[Fraction, Fraction]:
-    """One bisection step on an open interval where p0 changes sign.
+    """Halve [lo, hi] up to ``steps`` times, keeping p0's sign change.
 
-    Keeps the half that still changes sign.  A midpoint that is itself
-    the root pins the interval to (mid, mid).  ``refine_to`` and the
-    interlacing comparer both step with this rule, so a root reached
-    either way ends in the same bracket.
+    The ends are integers over a common denominator that doubles each
+    step, and p0's sign at lo is carried, so a step is one evaluation.
+    A midpoint that hits a root pins (mid, mid) and ends the run; a
+    point bracket comes back unchanged.  ``refine_to`` and the
+    interlacing comparer share this rule, so they pin the same brackets.
     """
-    mid = (lo + hi) / 2
-    s_mid = _intops.eval_sign_at(p0, mid)
-    if s_mid == 0:
-        return (mid, mid)
-    if _intops.eval_sign_at(p0, lo) * s_mid < 0:
-        return (lo, mid)
-    return (mid, hi)
+    if steps <= 0 or lo == hi:
+        return lo, hi
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    s_lo = _intops.eval_sign(p0, a, den)
+    for _ in range(steps):
+        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+        s_mid = _intops.eval_sign(p0, mid, den)
+        if s_mid == 0:
+            return Fraction(mid, den), Fraction(mid, den)
+        if s_lo * s_mid < 0:
+            b = mid
+        else:
+            a, s_lo = mid, s_mid
+    return Fraction(a, den), Fraction(b, den)
 
 
 def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     """Shrink every interval to at most the given width.
 
-    Each step is ``_bisect_once``: an open interval halves, keeping the
-    half where the carrier changes sign, and a root that a midpoint hits
-    exactly is pinned to a point interval, which is final.  Refinement
-    preserves the root set and the multiplicities.  After refinement,
-    consecutive intervals are strictly separated: hi of one is below lo
-    of the next.
+    Each step is a ``_bisect`` halving: an open interval halves, keeping
+    the half where the carrier changes sign, and a root that a midpoint
+    hits exactly is pinned to a point interval, which is final.
+    Refinement preserves the root set and the multiplicities.  After
+    refinement, consecutive intervals are strictly separated: hi of one
+    is below lo of the next.
     """
     width = as_rational(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     p0 = roots.carrier
-    refined: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in roots.intervals:
-        while hi - lo > width:
-            lo, hi = _bisect_once(p0, lo, hi)
-        refined.append((lo, hi))
+    refined = [
+        _bisect(p0, lo, hi, (ceil((hi - lo) / width) - 1).bit_length())
+        for lo, hi in roots.intervals
+    ]
     for i in range(len(refined) - 1):
         while refined[i][1] >= refined[i + 1][0]:
-            a_lo, a_hi = refined[i]
-            b_lo, b_hi = refined[i + 1]
-            if a_lo != a_hi:
-                refined[i] = _bisect_once(p0, a_lo, a_hi)
-            if b_lo != b_hi:
-                refined[i + 1] = _bisect_once(p0, b_lo, b_hi)
-            if a_lo == a_hi and b_lo == b_hi:
+            a, b = refined[i], refined[i + 1]
+            if a[0] == a[1] and b[0] == b[1]:
                 raise InternalInconsistencyError(
                     "two point intervals coincide; roots were not distinct"
                 )
+            refined[i], refined[i + 1] = _bisect(p0, *a, 1), _bisect(p0, *b, 1)
     return RootIntervals(
         intervals=tuple(refined),
         multiplicities=roots.multiplicities,

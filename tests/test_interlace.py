@@ -14,6 +14,9 @@ from interlacekit import (
     hko_crosscheck,
     interlaces_by_roots,
     interlaces_exact,
+    is_real_rooted,
+    isolate_roots,
+    lin_comb,
     pencil_scan,
 )
 
@@ -191,6 +194,25 @@ def test_pencil_scan_custom_alphas_deduplicated():
     assert report.alphas_tested == (F(1), F(1, 2), F(0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(root_values, min_size=2, max_size=5),
+    st.data(),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=7), max_size=8),
+)
+def test_pencil_members_match_lin_comb(values_f, data, scale_f, scale_g, alphas):
+    # Leading coefficients of either sign and rational scales: each
+    # integer member must decide exactly as f + alpha*g does.
+    size = len(values_f) - 1
+    values_g = data.draw(st.lists(root_values, min_size=size, max_size=size))
+    f = scale_f * Polynomial.from_roots(values_f)
+    g = scale_g * Polynomial.from_roots(values_g)
+    scanned = [pencil_scan(f, g, alphas=[a]).all_real for a in alphas]
+    assert scanned == [is_real_rooted(lin_comb(f, g, a)) for a in alphas]
+
+
 def test_pencil_scan_rejects_degree_gap():
     with pytest.raises(DegreeMismatchError):
         pencil_scan(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]))
@@ -276,8 +298,6 @@ def test_forward_direction_of_the_pencil_claim(values, alpha_raw):
     f = Polynomial.from_roots(values[0::2])
     g = Polynomial.from_roots(values[1::2])
     alpha = F(alpha_raw - 50, 7)
-    from interlacekit import is_real_rooted, lin_comb
-
     assert is_real_rooted(lin_comb(f, g, alpha))
 
 
@@ -317,8 +337,20 @@ def test_chain_walk_matches_brute_force(pair, strict):
     merged = [None] * (2 * len(roots_f) - 1)
     merged[0::2] = sorted(roots_f)
     merged[1::2] = sorted(roots_g)
+    # Isolated against exact roots in both orders, so ties between a
+    # point and an open bracket are decided too.
     reports = (
         interlaces_by_roots(collapse(roots_f), collapse(roots_g), strict=strict),
+        interlaces_by_roots(
+            isolate_roots(Polynomial.from_roots(roots_f)),
+            collapse(roots_g),
+            strict=strict,
+        ),
+        interlaces_by_roots(
+            collapse(roots_f),
+            isolate_roots(Polynomial.from_roots(roots_g)),
+            strict=strict,
+        ),
         interlaces_exact(
             Polynomial.from_roots(roots_f), Polynomial.from_roots(roots_g), strict=strict
         ),

@@ -20,6 +20,7 @@ from interlacekit import (
     refine_to,
     squarefree_part,
 )
+from interlacekit.realroots import _bisect
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -260,6 +261,62 @@ def test_refinement_never_loses_a_root(values):
         assert hi - lo <= F(1, 4096)
 
 
+def bisect_once(p0, lo, hi):
+    """One Fraction bisection step: the reference ``_bisect`` is checked against.
+
+    Keeps the half that still changes sign, reading the sign at lo
+    afresh.  A midpoint that is itself the root pins the interval to
+    (mid, mid).
+    """
+    mid = (lo + hi) / 2
+    s_mid = _intops.eval_sign_at(p0, mid)
+    if s_mid == 0:
+        return (mid, mid)
+    if _intops.eval_sign_at(p0, lo) * s_mid < 0:
+        return (lo, mid)
+    return (mid, hi)
+
+
+def reference_bisect(p0, lo, hi, steps):
+    for _ in range(steps):
+        if lo == hi:
+            break
+        lo, hi = bisect_once(p0, lo, hi)
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(root_values, min_size=1, max_size=4),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9),
+    st.fractions(min_value=F(1, 9), max_value=14, max_denominator=9),
+    st.integers(0, 40),
+    st.sampled_from(["open", "root at lo", "point"]),
+)
+def test_bisect_takes_the_reference_steps(values, lo, span, steps, start):
+    # The bracket need not hold a sign change; a root at lo or a
+    # midpoint that hits a root must still match the reference.
+    p0 = isolate_roots(Polynomial.from_roots(values)).carrier
+    if start == "root at lo":
+        lo = values[0]
+    hi = lo if start == "point" else lo + span
+    assert _bisect(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
+
+
+@pytest.mark.parametrize(
+    "ratio, halvings",
+    [(F(1, 3), 0), (F(1), 0), (F(8), 3), (F(8) + F(1, 10 ** 6), 4)],
+)
+def test_refine_to_takes_the_fewest_halvings(ratio, halvings):
+    # The only real root of x^3 - 2 is irrational, so no midpoint pins it.
+    roots = isolate_roots(Polynomial([-2, 0, 0, 1]))
+    ((lo, hi),) = roots.intervals
+    width = (hi - lo) / ratio
+    ((a, b),) = refine_to(roots, width).intervals
+    assert b - a == (hi - lo) / 2 ** halvings
+    assert (a, b) == reference_bisect(roots.carrier, lo, hi, halvings)
+
+
 def test_refinement_and_comparer_pin_the_same_brackets():
     # Both roots of x^2 - 1 lie on bisection midpoints of the isolating
     # intervals, so either route pins them to point intervals.
@@ -401,3 +458,18 @@ def test_roots_convert_each_input_once(monkeypatch):
     )
     assert report.verdict.value == "Interlaces"
     assert counts["from_fraction_coeffs"] == 2
+
+
+def test_refinement_evaluates_once_per_halving(monkeypatch):
+    # Irrational roots far apart: no pins, and no separation step.
+    roots = isolate_roots(
+        Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-7, 0, 1])
+    )
+    counts = _count_calls(monkeypatch, ("eval_sign",))
+    narrow = refine_to(roots, F(1, 2 ** 30))
+    halvings = [
+        ((hi - lo) / (b - a)).numerator.bit_length() - 1
+        for (lo, hi), (a, b) in zip(roots.intervals, narrow.intervals)
+    ]
+    assert len(halvings) == 6 and min(halvings) > 0
+    assert counts["eval_sign"] == len(halvings) + sum(halvings)
