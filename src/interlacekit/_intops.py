@@ -5,7 +5,9 @@ order with a nonzero last element; ``[]`` is the zero polynomial.
 Rational polynomials enter by clearing denominators, which multiplies
 them by a positive rational.  Root sets, signs at a point, and sign
 variation counts are all invariant under that scaling, and those are
-the only properties callers read back out.
+the only properties callers read back out.  A point is a pair of
+ints ``(num, den)`` with ``den > 0``, the rational num/den; nothing
+here takes a Fraction point.
 
 Two steps do all the division.  ``neg_signed_prem`` scales the running
 remainder by |lc(g)| before each subtraction, so every Sturm entry is a
@@ -17,7 +19,7 @@ long division, which Gauss's lemma makes exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
@@ -33,13 +35,8 @@ def trim(coeffs: IntPoly) -> IntPoly:
 
 def from_fraction_coeffs(coeffs: Sequence[Fraction]) -> IntPoly:
     """Clear denominators and strip content: a positive multiple of the input."""
-    out = []
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    for c in coeffs:
-        out.append(c.numerator * (scale // c.denominator))
-    return primitive(trim(out))
+    scale = lcm(*[c.denominator for c in coeffs])
+    return primitive(trim([c.numerator * (scale // c.denominator) for c in coeffs]))
 
 
 def content(coeffs: IntPoly) -> int:
@@ -79,10 +76,6 @@ def eval_sign(coeffs: IntPoly, num: int, den: int) -> int:
     if acc < 0:
         return -1
     return 0
-
-
-def eval_sign_at(coeffs: IntPoly, point: Fraction) -> int:
-    return eval_sign(coeffs, point.numerator, point.denominator)
 
 
 def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -197,8 +190,8 @@ def variations(signs: Sequence[int]) -> int:
     return count
 
 
-def variations_at(chain: Sequence[IntPoly], point: Fraction) -> int:
-    num, den = point.numerator, point.denominator
+def variations_at(chain: Sequence[IntPoly], num: int, den: int) -> int:
+    """Sign variations down the chain at num/den, for den > 0."""
     return variations([eval_sign(c, num, den) for c in chain])
 
 
@@ -211,8 +204,11 @@ def variations_at_infinity(chain: Sequence[IntPoly], sign: int) -> int:
     return variations([(1 if c[-1] > 0 else -1) * sign ** (len(c) - 1) for c in chain])
 
 
-def cauchy_bound(coeffs: IntPoly) -> Fraction:
-    """Strict bound on root magnitude: every root r has |r| < the bound."""
+def cauchy_bound(coeffs: IntPoly) -> tuple[int, int]:
+    """Strict bound (num, den) on root magnitude: every root r has |r| < num/den.
+
+    The bound is 1 + max |c_i| / |lc|, over the denominator |lc|.
+    """
     lead = abs(coeffs[-1])
     worst = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return 1 + Fraction(worst, lead)
+    return lead + worst, lead

@@ -204,10 +204,12 @@ class _RootComparer:
             if shared is not None:
                 lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
                 if lo == hi:
-                    tie = _intops.eval_sign_at(shared[0], lo) == 0
+                    sign = _intops.eval_sign(shared[0], lo.numerator, lo.denominator)
+                    tie = sign == 0
                 else:
-                    below = _intops.variations_at(shared, lo)
-                    tie = below > _intops.variations_at(shared, hi)
+                    below = _intops.variations_at(shared, lo.numerator, lo.denominator)
+                    above = _intops.variations_at(shared, hi.numerator, hi.denominator)
+                    tie = below > above
                 if tie:
                     return 0
             box_a[:] = _bisect(self._ints[a[0]], a_lo, a_hi, 1)

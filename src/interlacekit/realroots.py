@@ -73,25 +73,12 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
     if chain.degree == 0:
         return 0
     ints = chain._int_chain
-    if _intops.eval_sign_at(ints[0], lo) == 0:
+    if _intops.eval_sign(ints[0], lo.numerator, lo.denominator) == 0:
         raise EndpointRootError(f"lower endpoint {lo} is a root")
-    if _intops.eval_sign_at(ints[0], hi) == 0:
+    if _intops.eval_sign(ints[0], hi.numerator, hi.denominator) == 0:
         raise EndpointRootError(f"upper endpoint {hi} is a root")
-    return _intops.variations_at(ints, lo) - _intops.variations_at(ints, hi)
-
-
-def _safe_outer_bracket(chain: SturmChain) -> tuple[Fraction, Fraction]:
-    """(-B, B) for the strict Cauchy bound B of the squarefree part.
-
-    Every real root r satisfies -B < r < B, so neither endpoint can be a
-    root; if one is, the bound is wrong, and that raises
-    InternalInconsistencyError instead of being nudged away.
-    """
-    p0 = chain._int_chain[0]
-    bound = _intops.cauchy_bound(p0)
-    if 0 in (_intops.eval_sign_at(p0, bound), _intops.eval_sign_at(p0, -bound)):
-        raise InternalInconsistencyError(f"Cauchy bound {bound} is a root")
-    return -bound, bound
+    below = _intops.variations_at(ints, lo.numerator, lo.denominator)
+    return below - _intops.variations_at(ints, hi.numerator, hi.denominator)
 
 
 def is_real_rooted(p: Polynomial) -> bool:
@@ -182,44 +169,55 @@ class RootIntervals:
         ]
 
 
-def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, one distinct real root in each."""
+def _isolate_squarefree(chain: SturmChain) -> list[tuple[int, int, int]]:
+    """Disjoint open intervals (a/den, b/den), one distinct real root in each.
+
+    Brackets are integers over a denominator that doubles with each
+    halving, as in ``_bisect``.  A bracket holding several roots splits
+    at a + (b - a) / 2^j for the least j whose point is not a root; the
+    carrier's sign found there starts the variation count at the split.
+    The search begins at (-B, B) for the strict Cauchy bound B, so no
+    root lies outside and neither end can be a root; if one is, the
+    bound is wrong, and that raises InternalInconsistencyError.
+    """
     ints = chain._int_chain
     p0 = ints[0]
-    lo, hi = _safe_outer_bracket(chain)
+    bound, den = _intops.cauchy_bound(p0)
+    if 0 in (_intops.eval_sign(p0, bound, den), _intops.eval_sign(p0, -bound, den)):
+        raise InternalInconsistencyError(f"Cauchy bound {bound}/{den} is a root")
     # No root lies outside (-B, B), so V(-B) = V(-inf) and V(B) = V(+inf).
     v_lo = _intops.variations_at_infinity(ints, -1)
     v_hi = _intops.variations_at_infinity(ints, 1)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, v_lo, v_hi)]
+    out: list[tuple[int, int, int]] = []
+    stack = [(-bound, bound, den, v_lo, v_hi)]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, den, va, vb = stack.pop()
         count = va - vb
         if count <= 0:
             continue
         if count == 1:
-            out.append((a, b))
+            out.append((a, b, den))
             continue
-        mid = None
         step = b - a
         for _ in range(chain.degree + 2):
-            step = step / 2
-            candidate = a + step
-            if _intops.eval_sign_at(p0, candidate) != 0:
-                mid = candidate
+            a, b, den = 2 * a, 2 * b, 2 * den
+            mid = a + step
+            s_mid = _intops.eval_sign(p0, mid, den)
+            if s_mid != 0:
                 break
-        if mid is None:
+        else:
             raise InternalInconsistencyError(
                 "could not find a non-root split point"
             )
-        v_mid = _intops.variations_at(ints, mid)
-        stack.append((mid, b, v_mid, vb))
-        stack.append((a, mid, va, v_mid))
+        rest = [_intops.eval_sign(c, mid, den) for c in ints[1:]]
+        v_mid = _intops.variations([s_mid, *rest])
+        stack.append((mid, b, den, v_mid, vb))
+        stack.append((a, mid, den, va, v_mid))
     return out
 
 
 def _multiplicities(
-    g: list[int], intervals: Sequence[tuple[Fraction, Fraction]]
+    g: list[int], intervals: Sequence[tuple[int, int, int]]
 ) -> list[int]:
     """Multiplicity of the root inside each interval, via the gcd tower.
 
@@ -233,8 +231,9 @@ def _multiplicities(
     mults = [1] * len(intervals)
     while len(g) > 1:
         layer, g = _intops.squarefree_sturm(g)
-        for i, (lo, hi) in enumerate(intervals):
-            if _intops.variations_at(layer, lo) > _intops.variations_at(layer, hi):
+        for i, (a, b, den) in enumerate(intervals):
+            below = _intops.variations_at(layer, a, den)
+            if below > _intops.variations_at(layer, b, den):
                 mults[i] += 1
     return mults
 
@@ -252,10 +251,10 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
     carrier = tuple(chain._int_chain[0])
     if chain.degree == 0:
         return RootIntervals(intervals=(), multiplicities=(), carrier=carrier)
-    intervals = _isolate_squarefree(chain)
-    mults = _multiplicities(chain._gcd, intervals)
+    brackets = _isolate_squarefree(chain)
+    mults = _multiplicities(chain._gcd, brackets)
     return RootIntervals(
-        intervals=tuple(intervals),
+        intervals=tuple((Fraction(a, den), Fraction(b, den)) for a, b, den in brackets),
         multiplicities=tuple(mults),
         carrier=carrier,
     )

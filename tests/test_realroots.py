@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlacekit import _intops
@@ -269,10 +269,10 @@ def bisect_once(p0, lo, hi):
     (mid, mid).
     """
     mid = (lo + hi) / 2
-    s_mid = _intops.eval_sign_at(p0, mid)
+    s_mid = _intops.eval_sign(p0, mid.numerator, mid.denominator)
     if s_mid == 0:
         return (mid, mid)
-    if _intops.eval_sign_at(p0, lo) * s_mid < 0:
+    if _intops.eval_sign(p0, lo.numerator, lo.denominator) * s_mid < 0:
         return (lo, mid)
     return (mid, hi)
 
@@ -301,6 +301,77 @@ def test_bisect_takes_the_reference_steps(values, lo, span, steps, start):
         lo = values[0]
     hi = lo if start == "point" else lo + span
     assert _bisect(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
+
+
+def reference_isolate(p):
+    """Fraction subdivision: the reference isolation is checked against.
+
+    Starts from (-B, B) for the Cauchy bound B of the carrier, reads the
+    Sturm count of each bracket afresh, and splits a bracket with
+    several roots at lo + (hi - lo) / 2^j for the least j whose point is
+    not a root.
+    """
+    chain = build_sturm(p)._int_chain
+    p0 = chain[0]
+    if len(p0) == 1:
+        return ()
+
+    def variations_at(x):
+        signs = [_intops.eval_sign(c, x.numerator, x.denominator) for c in chain]
+        return _intops.variations(signs)
+
+    bound = 1 + F(max(abs(c) for c in p0[:-1]), abs(p0[-1]))
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        count = variations_at(lo) - variations_at(hi)
+        if count == 1:
+            out.append((lo, hi))
+        elif count > 1:
+            step = hi - lo
+            for _ in range(len(p0) + 1):
+                step /= 2
+                mid = lo + step
+                if _intops.eval_sign(p0, mid.numerator, mid.denominator) != 0:
+                    break
+            stack += [(mid, hi), (lo, mid)]
+    return tuple(out)
+
+
+# Dyadic roots, 0 among them: the bound of a carrier with dyadic roots is
+# dyadic, so split points often land on roots and the search for a
+# non-root split point runs.
+dyadic_roots = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda n, k: F(n, 2 ** k), st.integers(-12, 12), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(dyadic_roots, min_size=1, max_size=6))
+@example([1, 2, 3])  # the split of (0, 6) lands on 3
+@example([0, F(5, 2)])  # the first split lands on 0
+@example([-2, -2, F(-7, 4), F(7, 4), F(3, 2), F(3, 2)])
+def test_isolation_matches_the_fraction_reference(values):
+    p = Polynomial.from_roots(values)
+    assert isolate_roots(p).intervals == reference_isolate(p)
+
+
+def test_isolation_evaluates_no_point_twice(monkeypatch):
+    # Each split reuses the carrier sign it found while searching for a
+    # non-root point, so no (polynomial, point) pair is evaluated again.
+    seen = []
+    original = _intops.eval_sign
+
+    def spy(coeffs, num, den):
+        seen.append((tuple(coeffs), F(num, den)))
+        return original(coeffs, num, den)
+
+    monkeypatch.setattr(_intops, "eval_sign", spy)
+    isolate_roots(Polynomial.from_roots([-3, F(-1, 2), 0, 1, F(5, 4), 7]))
+    assert seen
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize(
