@@ -212,3 +212,24 @@ def cauchy_bound(coeffs: IntPoly) -> tuple[int, int]:
     lead = abs(coeffs[-1])
     worst = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
     return lead + worst, lead
+
+
+def root_bound_exponent(coeffs: IntPoly) -> int:
+    """An e >= 0 with |z| <= 2**e for every complex root z.
+
+    Fujiwara's bound for degree d is 2 * max_k |c_{d-k} / c_d|**(1/k),
+    with c_0 halved in the k = d term; e rounds it up to a power of two
+    from bit lengths alone.  Since 2**(bl(c) - 1) <= |c| < 2**bl(c) for
+    bl the bit length, each ratio is below 2**t_k with t_k =
+    bl(c_{d-k}) - bl(c_d) + 1, one less for k = d, so the bound is at
+    most 2 * 2**ceil(t_k / k) over the nonzero c_{d-k}.
+    """
+    d = len(coeffs) - 1
+    lead_bits = abs(coeffs[-1]).bit_length()
+    e = -1
+    for k in range(1, d + 1):
+        c = coeffs[d - k]
+        if c:
+            t = abs(c).bit_length() - lead_bits + (k < d)
+            e = max(e, -(-t // k))
+    return e + 1

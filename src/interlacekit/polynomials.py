@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import _intops
 from .errors import InputFormatError, ZeroPolynomialError
-from .rationals import Rational, as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 
 class Polynomial:

@@ -179,12 +179,18 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[int, int, int]]:
     The search begins at (-B, B) for the strict Cauchy bound B, so no
     root lies outside and neither end can be a root; if one is, the
     bound is wrong, and that raises InternalInconsistencyError.
+
+    B fixes the split tree, and so every bracket.  The Fujiwara bound
+    2^e, usually far tighter, only decides which splits need an
+    evaluation: a point beyond it is no root, and V there is V(+inf)
+    or V(-inf) by its sign.
     """
     ints = chain._int_chain
     p0 = ints[0]
     bound, den = _intops.cauchy_bound(p0)
     if 0 in (_intops.eval_sign(p0, bound, den), _intops.eval_sign(p0, -bound, den)):
         raise InternalInconsistencyError(f"Cauchy bound {bound}/{den} is a root")
+    e = _intops.root_bound_exponent(p0)
     # No root lies outside (-B, B), so V(-B) = V(-inf) and V(B) = V(+inf).
     v_lo = _intops.variations_at_infinity(ints, -1)
     v_hi = _intops.variations_at_infinity(ints, 1)
@@ -202,15 +208,18 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[int, int, int]]:
         for _ in range(chain.degree + 2):
             a, b, den = 2 * a, 2 * b, 2 * den
             mid = a + step
+            if abs(mid) > den << e:
+                v_mid = v_hi if mid > 0 else v_lo
+                break
             s_mid = _intops.eval_sign(p0, mid, den)
             if s_mid != 0:
+                rest = [_intops.eval_sign(c, mid, den) for c in ints[1:]]
+                v_mid = _intops.variations([s_mid, *rest])
                 break
         else:
             raise InternalInconsistencyError(
                 "could not find a non-root split point"
             )
-        rest = [_intops.eval_sign(c, mid, den) for c in ints[1:]]
-        v_mid = _intops.variations([s_mid, *rest])
         stack.append((mid, b, den, v_mid, vb))
         stack.append((a, mid, den, va, v_mid))
     return out

@@ -10,13 +10,16 @@ from interlacekit import (
     InternalInconsistencyError,
     Polynomial,
     RootIntervals,
+    SplitMix64,
     ZeroPolynomialError,
     build_sturm,
+    char_poly,
     count_roots_in,
     interlaces_by_roots,
     interlaces_exact,
     is_real_rooted,
     isolate_roots,
+    random_hermitian,
     refine_to,
     squarefree_part,
 )
@@ -303,13 +306,14 @@ def test_bisect_takes_the_reference_steps(values, lo, span, steps, start):
     assert _bisect(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
 
 
-def reference_isolate(p):
+def reference_isolate(p, splits=None):
     """Fraction subdivision: the reference isolation is checked against.
 
     Starts from (-B, B) for the Cauchy bound B of the carrier, reads the
     Sturm count of each bracket afresh, and splits a bracket with
     several roots at lo + (hi - lo) / 2^j for the least j whose point is
-    not a root.
+    not a root.  Every point tried as a split is appended to ``splits``
+    when a list is given.
     """
     chain = build_sturm(p)._int_chain
     p0 = chain[0]
@@ -333,6 +337,8 @@ def reference_isolate(p):
             for _ in range(len(p0) + 1):
                 step /= 2
                 mid = lo + step
+                if splits is not None:
+                    splits.append(mid)
                 if _intops.eval_sign(p0, mid.numerator, mid.denominator) != 0:
                     break
             stack += [(mid, hi), (lo, mid)]
@@ -372,6 +378,97 @@ def test_isolation_evaluates_no_point_twice(monkeypatch):
     isolate_roots(Polynomial.from_roots([-3, F(-1, 2), 0, 1, F(5, 4), 7]))
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_fractions, max_size=4),
+    st.lists(
+        st.tuples(small_fractions, small_fractions.filter(bool)), max_size=3
+    ),
+    st.integers(-40, 40).filter(bool),
+)
+@example([0], [], 1)  # degree 1, root at 0
+@example([0], [], -3)
+@example([F(1, 3)], [], 7)
+@example([], [(0, 1)], 1)  # x^2 + 1
+@example([2, -2], [(0, 3)], -5)  # zero middle coefficients
+@example([0, 0, F(-9, 2)], [(F(7, 3), F(-1, 5))], 12)
+# A bound one bit short for k < d misses a root of each of these.
+@example([-34, F(19, 3)], [], -11)
+@example([F(-43, 7), F(39, 2)], [], 19)
+@example([-33], [(F(7, 3), F(48, 5))], 39)
+def test_root_bound_exponent_bounds_every_root(values, quadratics, lead):
+    # Real roots r and conjugate pairs a +- bi, the roots of
+    # x^2 - 2ax + (a^2 + b^2), all compared with 2^e in squares.
+    p = Polynomial.from_roots(values)
+    for a, b in quadratics:
+        p = p * Polynomial([a * a + b * b, -2 * a, 1])
+    if p.degree == 0:
+        return
+    ints = [lead * c for c in _intops.from_fraction_coeffs(p.coeffs)]
+    e = _intops.root_bound_exponent(ints)
+    moduli = [r * r for r in values] + [a * a + b * b for a, b in quadratics]
+    assert e >= 0
+    assert all(m <= 4 ** e for m in moduli)
+    # Not loose either: Fujiwara's bound is at most 2d times the largest
+    # modulus, and rounding from bit lengths costs at most a factor 4.
+    assert 4 ** e <= max(1, 64 * p.degree ** 2 * max(moduli))
+
+
+def assert_isolation_matches_past_the_root_bound(p):
+    splits = []
+    assert isolate_roots(p).intervals == reference_isolate(p, splits)
+    e = _intops.root_bound_exponent(build_sturm(p)._int_chain[0])
+    assert any(abs(x) > 2 ** e for x in splits)
+
+
+# n = 2 is left out: a 2x2 spectrum never sends a split beyond 2^e.
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("seed", range(3))
+def test_char_poly_isolation_past_the_root_bound_matches_the_reference(n, seed):
+    assert_isolation_matches_past_the_root_bound(
+        char_poly(random_hermitian(SplitMix64(seed), n, 10))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=2, max_size=5, unique=True),
+    st.integers(10 ** 6, 10 ** 12),
+    st.sampled_from([1, -1]),
+)
+def test_wide_spread_isolation_past_the_root_bound_matches_the_reference(
+    values, k, side
+):
+    # The constant term k * prod(values) puts B near k or beyond, while
+    # every root has modulus at most sqrt(k); the split at B/2 on the
+    # side that holds every real root lies beyond 2^e.
+    p = Polynomial.from_roots([side * v for v in values]) * Polynomial([k, 0, 1])
+    assert_isolation_matches_past_the_root_bound(p)
+
+
+def test_isolation_evaluates_nothing_beyond_the_root_bound(monkeypatch):
+    p = char_poly(random_hermitian(SplitMix64(10), 10, 10))
+    p0 = build_sturm(p)._int_chain[0]
+    e = _intops.root_bound_exponent(p0)
+    bound = F(*_intops.cauchy_bound(p0))
+    points = []
+    original = _intops.eval_sign
+
+    def spy(coeffs, num, den):
+        points.append(F(num, den))
+        return original(coeffs, num, den)
+
+    monkeypatch.setattr(_intops, "eval_sign", spy)
+    isolate_roots(p)
+    # Only the two sanity checks at +-B look past the root bound.
+    assert [x for x in points if abs(x) > 2 ** e] == [bound, -bound]
+    # A deterministic work number: evaluating at every split costs 893.
+    assert len(points) == 145
 
 
 @pytest.mark.parametrize(
