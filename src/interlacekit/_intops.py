@@ -62,8 +62,12 @@ def derivative(coeffs: IntPoly) -> IntPoly:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def eval_sign(coeffs: IntPoly, num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0, via homogenized integer Horner."""
+def eval_scaled(coeffs: IntPoly, num: int, den: int) -> int:
+    """den**d * p(num/den) for d = deg p and den > 0, via homogenized Horner.
+
+    The factor den**d is positive, so the sign is that of p(num/den), and
+    values at points over one common denominator keep their ratios.
+    """
     if not coeffs:
         return 0
     acc = coeffs[-1]
@@ -71,11 +75,13 @@ def eval_sign(coeffs: IntPoly, num: int, den: int) -> int:
     for i in range(len(coeffs) - 2, -1, -1):
         dpow *= den
         acc = acc * num + coeffs[i] * dpow
-    if acc > 0:
-        return 1
-    if acc < 0:
-        return -1
-    return 0
+    return acc
+
+
+def eval_sign(coeffs: IntPoly, num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0."""
+    value = eval_scaled(coeffs, num, den)
+    return (value > 0) - (value < 0)
 
 
 def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -148,6 +154,24 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     constant.
     """
     return remainder_sequence(p, derivative(p))
+
+
+def is_real_rooted(p: IntPoly) -> bool:
+    """True iff every complex root of p is real, for lc(p) > 0.
+
+    With s the degree of p / gcd(p, p'), the number of distinct real
+    roots V(-inf) - V(+inf) of the remainder sequence of p and p' reaches
+    s only when the degrees step down by exactly one from deg p to the
+    gcd and every leading coefficient is positive.  So the sequence is
+    built one entry at a time, and the first degree gap or negative
+    leading coefficient returns False.
+    """
+    f, g = p, primitive(derivative(p))
+    while len(g) > 1:
+        f, g = g, neg_signed_prem(f, g)
+        if g and (len(g) != len(f) - 1 or g[-1] < 0):
+            return False
+    return True
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:

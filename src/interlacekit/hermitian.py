@@ -20,7 +20,13 @@ from .errors import InputFormatError, InternalInconsistencyError
 from .interlace import InterlaceReport, InterlaceVerdict, interlaces_by_roots
 from .polynomials import Polynomial
 from .rationals import Rational, as_rational, format_rational, parse_rational
-from .realroots import DEFAULT_WIDTH, RootIntervals, isolate_roots, refine_to
+from .realroots import (
+    DEFAULT_WIDTH,
+    RootIntervals,
+    isolate_roots,
+    _positive_width,
+    refine_to,
+)
 from .rng import SplitMix64
 
 
@@ -574,11 +580,14 @@ def cauchy_check(
     full matrix, so any other verdict is raised as an internal
     inconsistency carrying the offending report.  The full spectrum and
     the submatrix polynomials are computed once per matrix object and
-    width and shared by the calls for each k.
+    width and shared by the calls for each k.  The width and k are
+    checked first, so a bad argument raises before any of that work and
+    leaves the shared work of the last matrix in place.
     """
     matrix = _as_hermitian(matrix)
-    spectrum, sub_polys = _deletion_work(matrix, width)
+    width = _positive_width(width)
     _check_deletion(matrix.n, k)
+    spectrum, sub_polys = _deletion_work(matrix, width)
     sub_spectrum = _spectrum(sub_polys[k], matrix.n - 1, width)
     report = CauchyReport(
         n=matrix.n,

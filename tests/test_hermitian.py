@@ -492,3 +492,25 @@ def test_plain_grids_are_coerced_and_checked(call):
     assert call(PLAIN_GRID) == call(HermitianMatrix(PLAIN_GRID))
     with pytest.raises(InputFormatError, match=r"not Hermitian: entry \(0, 1\)"):
         call(NOT_HERMITIAN)
+
+
+def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
+    m = random_hermitian(SplitMix64(73), 3, 10)
+    other = random_hermitian(SplitMix64(74), 3, 10)
+    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
+    cauchy_check(m, 0)
+    memo = hermitian._last_deletion_work
+    assert memo is not None and memo[0] is m
+    counts = count_calls(monkeypatch, "_char_polys", "isolate_roots")
+    bad = [
+        (HermitianMatrix([[GR(5)]]), 0, F(1, 8), InputFormatError),
+        (other, -1, F(1, 8), InputFormatError),
+        (other, 3, F(1, 8), InputFormatError),
+        (m, 3, F(1, 8), InputFormatError),
+        (other, 0, 0, ValueError),
+    ]
+    for matrix, k, width, error in bad:
+        with pytest.raises(error):
+            cauchy_check(matrix, k, width)
+        assert hermitian._last_deletion_work is memo
+    assert counts == {"_char_polys": 0, "isolate_roots": 0}

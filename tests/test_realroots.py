@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings
@@ -628,16 +629,109 @@ def test_roots_convert_each_input_once(monkeypatch):
     assert counts["from_fraction_coeffs"] == 2
 
 
-def test_refinement_evaluates_once_per_halving(monkeypatch):
-    # Irrational roots far apart: no pins, and no separation step.
+def test_refinement_evaluates_fewer_points_than_halvings(monkeypatch):
+    # Irrational roots far apart: no pins, and no separation step.  One
+    # evaluation per halving, plus one per root for the lower end, would
+    # cost 182; the secant jumps reach the same brackets in 70.
     roots = isolate_roots(
         Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-7, 0, 1])
     )
-    counts = _count_calls(monkeypatch, ("eval_sign",))
+    counts = _count_calls(monkeypatch, ("eval_scaled",))
     narrow = refine_to(roots, F(1, 2 ** 30))
     halvings = [
         ((hi - lo) / (b - a)).numerator.bit_length() - 1
         for (lo, hi), (a, b) in zip(roots.intervals, narrow.intervals)
     ]
     assert len(halvings) == 6 and min(halvings) > 0
-    assert counts["eval_sign"] == len(halvings) + sum(halvings)
+    assert counts["eval_scaled"] == 70 < len(halvings) + sum(halvings)
+    assert narrow.intervals == tuple(
+        reference_bisect(roots.carrier, lo, hi, k)
+        for (lo, hi), k in zip(roots.intervals, halvings)
+    )
+
+
+def reference_refine(roots, width):
+    """``refine_to`` with every step taken by the Fraction reference.
+
+    Each bracket takes the fewest halvings that bring it within the
+    width, then neighbours that still touch halve once each until they
+    are apart.
+    """
+    p0 = roots.carrier
+    out = []
+    for lo, hi in roots.intervals:
+        steps = 0
+        while (hi - lo) / 2 ** steps > width:
+            steps += 1
+        out.append(reference_bisect(p0, lo, hi, steps))
+    for i in range(len(out) - 1):
+        while out[i][1] >= out[i + 1][0]:
+            out[i] = reference_bisect(p0, *out[i], 1)
+            out[i + 1] = reference_bisect(p0, *out[i + 1], 1)
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(dyadic_roots, root_values), min_size=1, max_size=5),
+    st.lists(st.sampled_from([2, 3, 5, 6, 7, 11]), max_size=2),
+    st.one_of(
+        st.builds(lambda j: F(1, 2 ** j), st.integers(0, 40)),
+        st.sampled_from([F(1, 3), F(2, 7), F(100), F(10 ** 6)]),
+    ),
+)
+@example([1, 2, 3], [], F(1, 2 ** 20))  # brackets from (0, 6) hit 1 and 2
+@example([-5, -1, 3], [], F(1, 2 ** 20))  # a neighbour of the secant point is -5
+@example([-2, -2, F(1, 3), F(5, 8), F(5, 8)], [2], F(2, 7))
+@example([F(1, 2), 4], [3, 7], F(10 ** 6))  # wider than every bracket
+def test_refine_to_matches_the_reference_bisection(values, squares, width):
+    # Dyadic roots land on the bisection grid and pin; repeats, other
+    # rationals and the irrational roots +-sqrt(c) do not.
+    p = Polynomial.from_roots(values)
+    for c in squares:
+        p = p * Polynomial([-c, 0, 1])
+    roots = isolate_roots(p)
+    assert refine_to(roots, width).intervals == reference_refine(roots, width)
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [(F(-2), F(2)), (F(2), F(3)), (F(-1), F(3)), (F(1), F(1))],
+)
+def test_refine_to_bisects_brackets_without_a_sign_change(interval):
+    # Hand-built brackets that break the one-root invariant of x^2 - 1:
+    # both roots inside, no root, a root at an end, a point.
+    roots = RootIntervals((interval,), (1,), (-1, 0, 1))
+    for width in (F(1, 2 ** 10), F(1, 3)):
+        steps = (ceil((interval[1] - interval[0]) / width) - 1).bit_length()
+        expected = _bisect(roots.carrier, *interval, steps)
+        assert refine_to(roots, width).intervals == (expected,)
+
+
+def reference_is_real_rooted(p):
+    """Variation count at +-infinity over the Sturm chain of p's squarefree part."""
+    chain = build_sturm(p)._int_chain
+    distinct = _intops.variations_at_infinity(
+        chain, -1
+    ) - _intops.variations_at_infinity(chain, 1)
+    return distinct == len(chain[0]) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(root_values, st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-20, 20)), max_size=2),
+    st.integers(-9, 9).filter(bool),
+)
+@example([], [], -3)  # a negative constant
+@example([(2, 3)], [], -1)  # a repeated root under a negative lead
+@example([(1, 1)], [(0, 1)], 1)  # (x - 1)(x^2 + 1)
+@example([(1, 1)], [(1, 1)], 1)  # x^3 - 1: positive leads, one degree gap
+@example([(1, 1), (3, 1)], [(-4, 4), (0, 1)], 2)  # a double root and x^2 + 1
+def test_early_exit_reality_test_matches_the_variation_count(roots, quadratics, lead):
+    # Repeated roots come from the multiplicities; x^2 + bx + c is a
+    # complex pair when b^2 < 4c and two real roots (or one double) else.
+    p = lead * Polynomial.from_roots([r for r, m in roots for _ in range(m)])
+    for b, c in quadratics:
+        p = p * Polynomial([c, b, 1])
+    assert is_real_rooted(p) == reference_is_real_rooted(p)
