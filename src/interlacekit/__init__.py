@@ -21,8 +21,6 @@ from .errors import (
 from .rationals import Rational, format_rational, parse_rational
 from .polynomials import (
     Polynomial,
-    derivative,
-    evaluate,
     lin_comb,
     poly_from_strings,
     poly_gcd,
@@ -61,7 +59,6 @@ from .hermitian import (
     char_poly,
     det_exact,
     eigen_intervals,
-    is_hermitian,
     principal_submatrix,
     random_hermitian,
 )
@@ -96,15 +93,12 @@ __all__ = [
     "char_poly",
     "count_roots_in",
     "default_alphas",
-    "derivative",
     "det_exact",
     "eigen_intervals",
-    "evaluate",
     "format_rational",
     "hko_crosscheck",
     "interlaces_by_roots",
     "interlaces_exact",
-    "is_hermitian",
     "is_real_rooted",
     "isolate_roots",
     "lin_comb",

@@ -41,10 +41,6 @@ class GaussianRational:
     def of(cls, re: int | Fraction, im: int | Fraction = 0) -> "GaussianRational":
         return cls(as_rational(re), as_rational(im))
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -85,18 +81,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
     def __str__(self) -> str:
         if self.im == 0:
             return format_rational(self.re)
@@ -113,7 +97,6 @@ def _coerce(value) -> GaussianRational | None:
 
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 Grid = tuple[tuple[GaussianRational, ...], ...]
 
@@ -158,13 +141,6 @@ def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
             if grid[i][j] != grid[j][i].conjugate():
                 return (i, j)
     return None
-
-
-def is_hermitian(entries) -> bool:
-    """True iff the square matrix equals its own conjugate transpose."""
-    grid = _as_grid(entries)
-    _check_square(grid)
-    return _hermitian_defect(grid) is None
 
 
 class HermitianMatrix:
@@ -259,35 +235,6 @@ class HermitianMatrix:
         return cls(grid)
 
 
-def det_exact(matrix) -> GaussianRational:
-    """Exact determinant by fraction-free elimination (Bareiss).
-
-    Accepts a HermitianMatrix or any square grid of entries; hermitian
-    symmetry is not required for the determinant itself.
-    """
-    grid = _as_grid(matrix)
-    n = _check_square(grid)
-    m = [list(row) for row in grid]
-    sign = 1
-    prev = GR_ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next(
-                (r for r in range(k + 1, n) if m[r][k]), None
-            )
-            if pivot_row is None:
-                return GR_ZERO
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = GR_ZERO
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
 def _int_matmul(a: list[list[int]], bt: list[list[int]]) -> list[list[int]]:
     """Product with the second factor pre-transposed; plain int entries."""
     return [
@@ -368,30 +315,54 @@ def _real_poly(parts: list[tuple[int, int]], den: int, what: str) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _scaled_pass(
+    grid: Grid,
+) -> tuple[int, list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """D and the integer Faddeev-LeVerrier pass on DA, for any square grid A.
+
+    With D the least common denominator of all entry parts, DA is a
+    Gaussian integer matrix, and char(A)(x) = D**-n * char(DA)(D*x), so
+    coefficient j of char(A) is c_j / D**(n - j) for the coefficients
+    c_j of char(DA).  DA_i is the (n - 1)-square submatrix of DA, so
+    coefficient j of char(A_i) is divided by D**(n - 1 - j).
+    """
+    parts = [x for row in grid for c in row for x in (c.re, c.im)]
+    den = lcm(*[x.denominator for x in parts])
+    a_re = [[c.re.numerator * (den // c.re.denominator) for c in row]
+            for row in grid]
+    a_im = [[c.im.numerator * (den // c.im.denominator) for c in row]
+            for row in grid]
+    return den, *_char_poly_gaussian_int(a_re, a_im)
+
+
 def _char_polys(
     matrix: HermitianMatrix, deletions: Iterable[int]
 ) -> tuple[Polynomial, tuple[Polynomial, ...]]:
     """char(A) and char(A_i) for each listed deletion i, from one integer pass.
 
-    One integer route serves every matrix: with D the least common
-    denominator of all entry parts, DA is a Gaussian integer matrix, and
-    char(A)(x) = D**-n * char(DA)(D*x), so coefficient j of char(A) is
-    c_j / D**(n - j) for the coefficients c_j of char(DA).  DA_i is the
-    (n - 1)-square submatrix of DA, so coefficient j of char(A_i) is
-    divided by D**(n - 1 - j).  Only the listed deletions are turned
-    into Fraction polynomials.
+    Only the listed deletions are turned into Fraction polynomials.
     """
-    parts = [x for row in matrix.entries for c in row for x in (c.re, c.im)]
-    den = lcm(*[x.denominator for x in parts])
-    a_re = [[c.re.numerator * (den // c.re.denominator) for c in row]
-            for row in matrix.entries]
-    a_im = [[c.im.numerator * (den // c.im.denominator) for c in row]
-            for row in matrix.entries]
-    full, subs = _char_poly_gaussian_int(a_re, a_im)
+    den, full, subs = _scaled_pass(matrix.entries)
     return _real_poly(full, den, "characteristic coefficient"), tuple(
         _real_poly(subs[i], den, f"submatrix {i} characteristic coefficient")
         for i in deletions
     )
+
+
+def det_exact(matrix) -> GaussianRational:
+    """Exact determinant: (-1)**n times the constant term of det(xI - A).
+
+    The constant term c_0 / D**n comes from the same integer pass as
+    every characteristic polynomial.  That pass divides exactly for any
+    Gaussian integer matrix, so a HermitianMatrix or any square grid of
+    entries is accepted; hermitian symmetry is not required.
+    """
+    grid = _as_grid(matrix)
+    n = _check_square(grid)
+    den, full, _ = _scaled_pass(grid)
+    re, im = full[0]
+    scale = (-den) ** n
+    return GaussianRational(Fraction(re, scale), Fraction(im, scale))
 
 
 def _as_hermitian(matrix) -> HermitianMatrix:

@@ -132,40 +132,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact euclidean division over the rationals."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dg = other.degree
-        lead = other._coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dg, 0)
-        while len(rem) - 1 >= dg and rem:
-            factor = rem[-1] / lead
-            shift = len(rem) - 1 - dg
-            quot[shift] = factor
-            for i in range(dg + 1):
-                rem[shift + i] -= factor * other._coeffs[i]
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)), by Horner's rule on polynomial values."""
-        acc = Polynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
-
     def __repr__(self) -> str:
         inside = ", ".join(format_rational(c) for c in self._coeffs)
         return f"Polynomial([{inside}])"
@@ -195,14 +161,6 @@ class Polynomial:
 def lin_comb(f: Polynomial, g: Polynomial, alpha: int | Fraction) -> Polynomial:
     """f + alpha*g."""
     return f + as_rational(alpha) * g
-
-
-def evaluate(p: Polynomial, point: int | Fraction) -> Fraction:
-    return p.evaluate(point)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

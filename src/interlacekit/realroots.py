@@ -353,8 +353,14 @@ def _refine(
             m *= 2
             continue
         # A miss: one plain halving of the cell, as ``_bisect`` takes it.
+        # The midpoint is grid index 2^(m-1); if the jump evaluated it,
+        # its value drops the factor 2^((m-1)*d) of the finer grid.
         a, den = 2 * a, 2 * den
-        vm = _intops.eval_scaled(p0, a + w, den)
+        half = n >> 1
+        if half in (i, i + side):
+            vm = (vx if i == half else vy) >> ((m - 1) * d)
+        else:
+            vm = _intops.eval_scaled(p0, a + w, den)
         if vm == 0:
             return Fraction(a + w, den), Fraction(a + w, den)
         if (vm > 0) == (va > 0):

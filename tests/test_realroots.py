@@ -24,9 +24,21 @@ from interlacekit import (
     refine_to,
     squarefree_part,
 )
-from interlacekit.realroots import _bisect
+from interlacekit.realroots import _bisect, _refine
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def poly_rem(f, g):
+    """Remainder of f by nonzero g: plain long division over Fractions."""
+    rem = list(f.coeffs)
+    while len(rem) >= len(g.coeffs):
+        factor = rem[-1] / g.coeffs[-1]
+        shift = len(rem) - len(g.coeffs)
+        for i, c in enumerate(g.coeffs):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return Polynomial(rem)
 
 
 def rational_chain(sturm):
@@ -40,7 +52,7 @@ def rational_chain(sturm):
     if seq[0].degree >= 1:
         seq.append(seq[0].derivative())
         while seq[-1].degree >= 1:
-            rem = seq[-2] % seq[-1]
+            rem = poly_rem(seq[-2], seq[-1])
             if rem.is_zero:
                 break
             seq.append(-rem)
@@ -564,7 +576,7 @@ def test_neg_signed_prem_is_positive_multiple_of_negated_remainder(dg, gap, data
     g = data.draw(int_poly(dg))
     f = data.draw(int_poly(dg + gap))
     r = _intops.neg_signed_prem(f, g)
-    reference = -(Polynomial(f) % Polynomial(g))
+    reference = -poly_rem(Polynomial(f), Polynomial(g))
     assert r == _intops.primitive(r)
     if reference.is_zero:
         assert r == []
@@ -632,7 +644,7 @@ def test_roots_convert_each_input_once(monkeypatch):
 def test_refinement_evaluates_fewer_points_than_halvings(monkeypatch):
     # Irrational roots far apart: no pins, and no separation step.  One
     # evaluation per halving, plus one per root for the lower end, would
-    # cost 182; the secant jumps reach the same brackets in 70.
+    # cost 182; the secant jumps reach the same brackets in 68.
     roots = isolate_roots(
         Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-7, 0, 1])
     )
@@ -643,11 +655,33 @@ def test_refinement_evaluates_fewer_points_than_halvings(monkeypatch):
         for (lo, hi), (a, b) in zip(roots.intervals, narrow.intervals)
     ]
     assert len(halvings) == 6 and min(halvings) > 0
-    assert counts["eval_scaled"] == 70 < len(halvings) + sum(halvings)
+    assert counts["eval_scaled"] == 68 < len(halvings) + sum(halvings)
     assert narrow.intervals == tuple(
         reference_bisect(roots.carrier, lo, hi, k)
         for (lo, hi), k in zip(roots.intervals, halvings)
     )
+
+
+def seeded_roots():
+    """(carrier, lo, hi) for every isolated root of 60 seeded polynomials."""
+    rng = SplitMix64(2024)
+    for _ in range(60):
+        body = [rng.int_between(-30, 30) for _ in range(rng.int_between(2, 12))]
+        roots = isolate_roots(Polynomial(body + [rng.int_between(1, 3)]))
+        for lo, hi in roots.intervals:
+            yield roots.carrier, lo, hi
+
+
+def test_missed_jumps_reuse_the_midpoint_value(monkeypatch):
+    # A missed jump of depth m >= 2 halves its cell at grid index
+    # 2^(m-1).  When the jump evaluated that point, as the secant point
+    # or its neighbour, the value is reused; without that reuse these
+    # brackets cost 5,447 evaluations.
+    runs = [(*root, steps) for steps in (5, 20, 40) for root in seeded_roots()]
+    expected = [_bisect(*run) for run in runs]
+    counts = _count_calls(monkeypatch, ("eval_scaled",))
+    assert [_refine(*run) for run in runs] == expected
+    assert counts["eval_scaled"] == 5275
 
 
 def reference_refine(roots, width):
