@@ -9,11 +9,14 @@ the only properties callers read back out.  A point is a pair of
 ints ``(num, den)`` with ``den > 0``, the rational num/den; nothing
 here takes a Fraction point.
 
-Two steps do all the division.  ``neg_signed_prem`` scales the running
-remainder by |lc(g)| before each subtraction, so every Sturm entry is a
-positive multiple of its rational counterpart and no quotient is built;
-``exact_quotient`` divides by a primitive divisor with plain integer
-long division, which Gauss's lemma makes exact.
+Two steps do all the division, and both check it.  ``neg_signed_prem``
+forms -|lc(g)|**(d + 1) * rem(f, g) without a quotient and divides it
+by the subresultant divisor that ``remainder_sequence`` carries
+(Collins 1967; Brown and Traub 1971), so every remainder entry is a
+positive multiple of its rational counterpart and only the two inputs
+of a sequence have their content stripped.  ``exact_quotient`` divides
+by a primitive divisor with plain integer long division, which Gauss's
+lemma makes exact.  An inexact division in either is an internal error.
 """
 
 from __future__ import annotations
@@ -84,26 +87,50 @@ def eval_sign(coeffs: IntPoly, num: int, den: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def neg_signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """A positive multiple of -rem(f, g), content stripped.
+def _exact_div(n: int, d: int) -> int:
+    q, rest = divmod(n, d)
+    if rest:
+        raise InternalInconsistencyError("subresultant division is not exact")
+    return q
 
-    Requires deg f >= deg g >= 0.  Each step scales the running
-    remainder by |lc(g)| and subtracts sign(lc g) * lead * g * x**shift,
-    which cancels the lead term and keeps the remainder a positive
-    multiple of the rational one; no quotient is formed.
+
+def neg_signed_prem(f: IntPoly, g: IntPoly, divisor: int = 1) -> IntPoly:
+    """-prem(f, g) / divisor: a positive multiple of -rem(f, g) for divisor > 0.
+
+    Requires deg f >= deg g >= 0.  Here prem(f, g) = |lc g|**(d + 1) *
+    rem(f, g) for d = deg f - deg g, computed without forming a
+    quotient.  In a subresultant sequence the divisor divides every
+    coefficient; an inexact division raises.  A one-degree step (d = 1)
+    is one pass: with c = lc(g) and u*x + v the pseudo-quotient,
+    -prem = (u*x + v) * g - c**2 * f, where u = c * f_n and
+    v = c * f_(n-1) - f_n * g_(n-2).  Any other d scales the running
+    remainder by |c| and subtracts sign(c) * lead * g * x**shift, d + 1
+    times.
     """
     dg = len(g) - 1
-    scale = abs(g[-1])
-    sign = 1 if g[-1] > 0 else -1
-    r = list(f)
-    while len(r) > dg:
-        lead = sign * r.pop()
-        shift = len(r) - dg
-        r = [scale * c for c in r]
-        for i in range(dg):
-            r[shift + i] -= lead * g[i]
-        trim(r)
-    return primitive([-c for c in r])
+    if dg == 0:
+        return []
+    c = g[-1]
+    if len(f) == len(g) + 1:
+        u = c * f[-1]
+        v = c * f[-2] - f[-1] * g[-2]
+        sq = c * c
+        r = [v * a + u * b - sq * x for a, b, x in zip(g[:dg], [0] + g, f)]
+    else:
+        scale = abs(c)
+        sign = 1 if c > 0 else -1
+        r = list(f)
+        for _ in range(len(f) - dg):
+            lead = sign * r.pop()
+            shift = len(r) - dg
+            r = [scale * x for x in r]
+            for i in range(dg):
+                r[shift + i] -= lead * g[i]
+        r = [-x for x in r]
+    trim(r)
+    if divisor != 1:
+        r = [_exact_div(x, divisor) for x in r]
+    return r
 
 
 def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
@@ -130,20 +157,37 @@ def exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def remainder_sequence(p: IntPoly, q: IntPoly) -> list[IntPoly]:
-    """Signed remainder sequence of p and q, ending at gcd(p, q).
+    """Signed subresultant sequence of p and q, ending at gcd(p, q).
 
-    Requires deg p >= deg q.  Entries are primitive; each is a positive
-    multiple of the textbook entry p, q, -rem(p, q), ..., so sign
-    variations at any point agree exactly.  The last entry is gcd(p, q)
-    up to sign.
+    Requires deg p >= deg q.  p and q enter primitive; each later entry
+    is -prem(f, g) / beta for its two predecessors f and g (Collins 1967;
+    Brown and Traub 1971).  The first step has beta = 1; each later one
+    has beta = |lc f| * psi**(deg f - deg g), where psi = |lc f|**e /
+    psi'**(e - 1) for e the degree drop into f and psi' the previous psi,
+    starting from 1.  Every division is exact and checked.  Each entry is
+    a positive multiple of the textbook entry p, q, -rem(p, q), ..., so
+    sign variations at any point agree exactly, and no content gcd runs
+    past the first two entries.  The last entry is gcd(p, q) up to a
+    nonzero factor; callers that need it primitive strip its content.
     """
-    seq = [primitive(list(p))]
-    r = primitive(list(q))
-    while r:
-        seq.append(r)
-        if len(r) == 1:
+    f = primitive(list(p))
+    seq = [f]
+    g = primitive(list(q))
+    divisor = psi = 1
+    while g:
+        seq.append(g)
+        if len(g) == 1:
             break
-        r = neg_signed_prem(seq[-2], r)
+        r = neg_signed_prem(f, g, divisor)
+        if r:
+            lead = abs(g[-1])
+            d = len(f) - len(g)
+            if d == 1:
+                psi = lead
+            elif d:
+                psi = _exact_div(lead ** d, psi ** (d - 1))
+            divisor = lead * psi ** (len(g) - len(r))
+        f, g = g, r
     return seq
 
 
@@ -164,11 +208,15 @@ def is_real_rooted(p: IntPoly) -> bool:
     s only when the degrees step down by exactly one from deg p to the
     gcd and every leading coefficient is positive.  So the sequence is
     built one entry at a time, and the first degree gap or negative
-    leading coefficient returns False.
+    leading coefficient returns False.  Until then every step is a
+    one-degree step, so the subresultant divisor of ``remainder_sequence``
+    is 1 for the first step and lc(f)**2 after it, f the older of the
+    two entries the step reads.
     """
     f, g = p, primitive(derivative(p))
+    divisor = 1
     while len(g) > 1:
-        f, g = g, neg_signed_prem(f, g)
+        f, g, divisor = g, neg_signed_prem(f, g, divisor), g[-1] ** 2
         if g and (len(g) != len(f) - 1 or g[-1] < 0):
             return False
     return True
@@ -178,11 +226,11 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient; [] only if both zero.
 
     The last entry of the remainder sequence of f and g, taken in order
-    of degree, with its sign fixed.
+    of degree, with its content stripped and its sign fixed.
     """
     if len(f) < len(g):
         f, g = g, f
-    a = remainder_sequence(f, g)[-1]
+    a = primitive(remainder_sequence(f, g)[-1])
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
@@ -191,12 +239,14 @@ def squarefree_sturm(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
 
     The chain starts at the primitive squarefree part with a positive
     leading coefficient.  p's own remainder sequence ends at the gcd and
-    is that chain when the gcd is constant; otherwise it is rebuilt once.
+    is that chain when the gcd is constant; otherwise it is rebuilt once
+    from p divided by the gcd's primitive part, which is also the gcd
+    returned.
     """
     if p[-1] < 0:
         p = [-c for c in p]
     chain = sturm_chain(p)
-    g = chain[-1]
+    g = primitive(chain[-1])
     if len(g) > 1:
         chain = sturm_chain(exact_quotient(p, g))
     return chain, g

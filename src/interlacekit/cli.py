@@ -21,6 +21,7 @@ Exit codes: 0 all checks passed, 1 at least one property violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -346,7 +347,9 @@ def cmd_gen(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="interlacekit",
         description="exact interlacing and Hermitian spectrum checks",

@@ -166,10 +166,10 @@ def lin_comb(f: Polynomial, g: Polynomial, alpha: int | Fraction) -> Polynomial:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over the rationals.
 
-    Internally runs a primitive pseudo-remainder sequence on integer
-    copies, which avoids rational blowup; the result is normalized to a
-    monic rational polynomial.  gcd(p, 0) = monic p; gcd(0, 0) is
-    undefined and raises.
+    Internally runs the subresultant remainder sequence on integer
+    copies, which avoids rational blowup, and strips the content of its
+    last entry; the result is normalized to a monic rational polynomial.
+    gcd(p, 0) = monic p; gcd(0, 0) is undefined and raises.
     """
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd of two zero polynomials is undefined")
@@ -189,7 +189,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero is undefined")
     ints = _intops.from_fraction_coeffs(p.coeffs)
-    gcd = _intops.sturm_chain(ints)[-1]
+    gcd = _intops.primitive(_intops.sturm_chain(ints)[-1])
     return Polynomial(_intops.exact_quotient(ints, gcd)).monic()
 
 

@@ -29,13 +29,14 @@ DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    The chain is p's signed remainder sequence on integers, which ends
-    at gcd(p, p') (kept for the multiplicity tower) and is rebuilt from
-    p / gcd only when that gcd is not constant.  Its first entry is the
-    primitive squarefree part with a positive leading coefficient, the
-    carrier that isolated roots keep.  Each entry is a positive multiple
-    of the matching entry of the textbook rational chain, so sign
-    variations agree exactly.
+    The chain is p's signed subresultant sequence on integers, which
+    ends at gcd(p, p'); the primitive part of that gcd is kept for the
+    multiplicity tower, and the chain is rebuilt from p divided by it
+    only when it is not constant.  Its first entry is the primitive
+    squarefree part with a positive leading coefficient, the carrier
+    that isolated roots keep; later entries are not made primitive.
+    Each entry is a positive multiple of the matching entry of the
+    textbook rational chain, so sign variations agree exactly.
     """
 
     __slots__ = ("_int_chain", "_gcd")
@@ -86,10 +87,10 @@ def is_real_rooted(p: Polynomial) -> bool:
 
     Multiplicities do not matter: p is real rooted exactly when its
     squarefree part of degree s has s distinct real roots.  The test runs
-    on p's integer remainder sequence with p' and stops at the first
+    on p's integer subresultant sequence with p' and stops at the first
     entry that rules that out (``_intops.is_real_rooted``); it builds no
-    Sturm chain.  Constants are real rooted; the zero polynomial is
-    rejected.
+    Sturm chain and strips no content past p and p'.  Constants are real
+    rooted; the zero polynomial is rejected.
     """
     if p.is_zero:
         raise ZeroPolynomialError("is_real_rooted is undefined for zero")

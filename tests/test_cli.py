@@ -78,6 +78,22 @@ def test_check_all_is_deterministic_modulo_timing():
     assert a["config"]["seed"] == 17
 
 
+def test_in_process_calls_reuse_one_parser(capsys):
+    # The parser is built once per process; a rejected argv leaves it
+    # as it was for the next call.
+    from interlacekit import cli
+
+    args = ["check", "--mode", "definition", "--seed", "4", "--trials", "2"]
+    assert cli.main(args) == 0
+    first = strip_timing(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--mode", "bogus"])
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert strip_timing(capsys.readouterr().out) == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_check_single_mode_runs_one_suite():
     result = run_cli("check", "--mode", "identity", "--seed", "2", "--trials", "4")
     assert result.returncode == 0

@@ -568,22 +568,43 @@ def int_poly(degree):
     return st.builds(lambda c, lc: c + [lc], body, st.integers(-40, 40).filter(bool))
 
 
+def test_real_rootedness_strips_content_at_most_twice(monkeypatch):
+    # The subresultant divisors keep the entries small without a content
+    # gcd per step: only the derivative is made primitive.
+    p = Polynomial.from_roots([F(k, 3) for k in range(-6, 6)])
+    ints = _intops.from_fraction_coeffs(p.coeffs)
+    counts = _count_calls(monkeypatch, ("content",))
+    assert _intops.is_real_rooted(ints)
+    assert counts["content"] <= 2
+
+
+@st.composite
+def prem_pairs(draw):
+    """(f, g) with deg f - deg g in 0..5."""
+    g = draw(int_poly(draw(st.integers(0, 5))))
+    return draw(int_poly(len(g) - 1 + draw(st.integers(0, 5)))), g
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.data())
-def test_neg_signed_prem_is_positive_multiple_of_negated_remainder(dg, gap, data):
+@given(prem_pairs())
+@example(([0, 0, -2, -1, 2, 1], [0, 6, 5, -12, 4]))
+def test_neg_signed_prem_is_positive_multiple_of_negated_remainder(pair):
     # lc(g) takes both signs and gap = deg f - deg g takes both
     # parities, the two things a lc(g)**(gap + 1) scaling would flip.
-    g = data.draw(int_poly(dg))
-    f = data.draw(int_poly(dg + gap))
+    f, g = pair
     r = _intops.neg_signed_prem(f, g)
     reference = -poly_rem(Polynomial(f), Polynomial(g))
-    assert r == _intops.primitive(r)
     if reference.is_zero:
         assert r == []
         return
     ratio = F(r[-1]) / reference.leading_coefficient()
-    assert ratio > 0
+    assert ratio == abs(g[-1]) ** (len(f) - len(g) + 1)
     assert Polynomial(r) == ratio * reference
+    # A divisor of every coefficient divides exactly; one that is not raises.
+    k = _intops.content(r)
+    assert _intops.neg_signed_prem(f, g, k) == [c // k for c in r]
+    with pytest.raises(InternalInconsistencyError):
+        _intops.neg_signed_prem(f, g, 2 * k)
 
 
 @settings(max_examples=100, deadline=None)
