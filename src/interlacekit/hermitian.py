@@ -99,6 +99,7 @@ def _coerce(value) -> GaussianRational | None:
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 
 Grid = tuple[tuple[GaussianRational, ...], ...]
+_Parts = list[tuple[int, int]]  # (re, im) of Gaussian integers
 
 
 def _as_grid(entries) -> Grid:
@@ -237,66 +238,45 @@ class HermitianMatrix:
 
 def _int_matmul(a: list[list[int]], bt: list[list[int]]) -> list[list[int]]:
     """Product with the second factor pre-transposed; plain int entries."""
-    return [
-        [sum(map(mul, row, col)) for col in bt]
-        for row in a
-    ]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def _char_poly_gaussian_int(
-    a_re: list[list[int]], a_im: list[list[int]]
-) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """Faddeev-LeVerrier on a Gaussian-integer matrix given as re/im parts.
+def _char_poly_gaussian_int(real_form: list[list[int]]) -> tuple[_Parts, list[_Parts]]:
+    """Faddeev-LeVerrier on A = R + iS, given as its real form [[R, -S], [S, R]].
 
-    Returns the (re, im) parts of every coefficient of det(xI - A),
-    ascending, and the same for det(xI - A_i) for every i, where A_i is A
-    without row and column i.  The iterates M_1 = I, ..., M_n of the
-    recurrence are the coefficients of adj(xI - A) = sum M_k x**(n - k),
-    and by Cramer's rule diagonal entry (i, i) of that adjugate is
-    det(xI - A_i), so reading the iterates' diagonals yields every
-    principal submatrix polynomial from the one pass.  For Gaussian
-    integer matrices every division in the recurrence is exact over the
-    integers, so the whole run stays in int arithmetic.  The divisions
-    are checked anyway.
+    The real form acts on the stack [P; Q] of M = P + iQ as A acts on M,
+    so a step is one integer product.  Returns the (re, im) parts of the
+    coefficients of det(xI - A) and of every det(xI - A_i), ascending,
+    A_i being A without row and column i: the iterates M_1 = I, ..., M_n
+    are the coefficients of adj(xI - A) = sum M_k x**(n - k), whose
+    diagonal entry (i, i) is det(xI - A_i) by Cramer's rule.  Each
+    division is exact for a Gaussian integer matrix, and is checked; so
+    is Cayley-Hamilton, A M_n + c_0 I = 0.
     """
-    n = len(a_re)
-    m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    m_im = [[0] * n for _ in range(n)]
-    out = [(0, 0)] * (n + 1)
-    out[n] = (1, 0)
-    subs = [[(0, 0)] * n for _ in range(n)]
+    n = len(real_form) // 2
+    m = [[int(i == j) for j in range(n)] for i in range(2 * n)]
+    coeffs, diagonals = [(1, 0)], []
     for k in range(1, n + 1):
-        for i in range(n):
-            subs[i][n - k] = (m_re[i][i], m_im[i][i])
-        mt_re = [list(col) for col in zip(*m_re)]
-        mt_im = [list(col) for col in zip(*m_im)]
-        rr = _int_matmul(a_re, mt_re)
-        ii = _int_matmul(a_im, mt_im)
-        ri = _int_matmul(a_re, mt_im)
-        ir = _int_matmul(a_im, mt_re)
-        am_re = [
-            [rr[i][j] - ii[i][j] for j in range(n)] for i in range(n)
-        ]
-        am_im = [
-            [ri[i][j] + ir[i][j] for j in range(n)] for i in range(n)
-        ]
-        tr_re = sum(am_re[i][i] for i in range(n))
-        tr_im = sum(am_im[i][i] for i in range(n))
-        q_re, r_re = divmod(-tr_re, k)
-        q_im, r_im = divmod(-tr_im, k)
+        diagonals.append([(m[i][i], m[n + i][i]) for i in range(n)])
+        m = _int_matmul(real_form, list(zip(*m)))
+        q_re, r_re = divmod(-sum(m[i][i] for i in range(n)), k)
+        q_im, r_im = divmod(-sum(m[n + i][i] for i in range(n)), k)
         if r_re or r_im:
             raise InternalInconsistencyError(
                 "Faddeev-LeVerrier hit an inexact integer division"
             )
-        out[n - k] = (q_re, q_im)
+        coeffs.append((q_re, q_im))
         for i in range(n):
-            am_re[i][i] += q_re
-            am_im[i][i] += q_im
-        m_re, m_im = am_re, am_im
-    return out, subs
+            m[i][i] += q_re
+            m[n + i][i] += q_im
+    if any(map(any, m)):
+        raise InternalInconsistencyError(
+            "Faddeev-LeVerrier broke Cayley-Hamilton: A M_n + c_0 I is not zero"
+        )
+    return coeffs[::-1], [list(d[::-1]) for d in zip(*diagonals)]
 
 
-def _real_poly(parts: list[tuple[int, int]], den: int, what: str) -> Polynomial:
+def _real_poly(parts: _Parts, den: int, what: str) -> Polynomial:
     """Polynomial with coefficient j equal to re_j / den**(d - j), d its degree.
 
     Hermitian matrices have real characteristic coefficients; that is
@@ -315,9 +295,7 @@ def _real_poly(parts: list[tuple[int, int]], den: int, what: str) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _scaled_pass(
-    grid: Grid,
-) -> tuple[int, list[tuple[int, int]], list[list[tuple[int, int]]]]:
+def _scaled_pass(grid: Grid) -> tuple[int, _Parts, list[_Parts]]:
     """D and the integer Faddeev-LeVerrier pass on DA, for any square grid A.
 
     With D the least common denominator of all entry parts, DA is a
@@ -328,11 +306,11 @@ def _scaled_pass(
     """
     parts = [x for row in grid for c in row for x in (c.re, c.im)]
     den = lcm(*[x.denominator for x in parts])
-    a_re = [[c.re.numerator * (den // c.re.denominator) for c in row]
-            for row in grid]
-    a_im = [[c.im.numerator * (den // c.im.denominator) for c in row]
-            for row in grid]
-    return den, *_char_poly_gaussian_int(a_re, a_im)
+    r = [[c.re.numerator * (den // c.re.denominator) for c in row] for row in grid]
+    s = [[c.im.numerator * (den // c.im.denominator) for c in row] for row in grid]
+    real_form = [a + [-x for x in b] for a, b in zip(r, s)]  # [R, -S]
+    real_form += [b + a for a, b in zip(r, s)]  # [S, R]
+    return den, *_char_poly_gaussian_int(real_form)
 
 
 def _char_polys(

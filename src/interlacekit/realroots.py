@@ -65,7 +65,8 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
 
     Raises EndpointRootError if either endpoint is a root, because the
     variation difference is unreliable there.  Callers that pick their
-    own endpoints should nudge and retry.
+    own endpoints should nudge and retry.  Each endpoint's chain signs
+    are evaluated once and serve both the root test and the count.
     """
     lo = as_rational(lo)
     hi = as_rational(hi)
@@ -73,13 +74,16 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
         raise ValueError(f"empty interval: need lo < hi, got [{lo}, {hi}]")
     if chain.degree == 0:
         return 0
-    ints = chain._int_chain
-    if _intops.eval_sign(ints[0], lo.numerator, lo.denominator) == 0:
-        raise EndpointRootError(f"lower endpoint {lo} is a root")
-    if _intops.eval_sign(ints[0], hi.numerator, hi.denominator) == 0:
-        raise EndpointRootError(f"upper endpoint {hi} is a root")
-    below = _intops.variations_at(ints, lo.numerator, lo.denominator)
-    return below - _intops.variations_at(ints, hi.numerator, hi.denominator)
+    variations = []
+    for end, name in ((lo, "lower"), (hi, "upper")):
+        signs = [
+            _intops.eval_sign(c, end.numerator, end.denominator)
+            for c in chain._int_chain
+        ]
+        if signs[0] == 0:
+            raise EndpointRootError(f"{name} endpoint {end} is a root")
+        variations.append(_intops.variations(signs))
+    return variations[0] - variations[1]
 
 
 def is_real_rooted(p: Polynomial) -> bool:

@@ -10,6 +10,7 @@ from interlacekit import (
     HermitianMatrix,
     InputFormatError,
     InterlaceVerdict,
+    InternalInconsistencyError,
     Polynomial,
     SplitMix64,
     bordered_identity,
@@ -138,6 +139,62 @@ def square_grids(draw):
 @given(square_grids())
 def test_det_matches_cofactor_on_any_square_grid(grid):
     assert det_exact(grid) == det_cofactor(grid)
+
+
+def pass_value(parts, den, t):
+    """Value at t of the polynomial with coefficient j = parts[j] / den**(d - j)."""
+    d = len(parts) - 1
+    return sum(
+        (GR(F(re, den ** (d - j)), F(im, den ** (d - j))) * t**j
+         for j, (re, im) in enumerate(parts)),
+        GR(0),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_grids())
+def test_pass_matches_cofactor_char_polys_on_any_square_grid(grid):
+    """char(A) and every adjugate diagonal char(A_i), against cofactors at t = 0..n.
+
+    The grids are almost never Hermitian, so A and conj(A) give
+    different polynomials, and the submatrix polynomials are checked
+    against determinants of explicit submatrices of tI - A.
+    """
+    n = len(grid)
+    den, full, subs = hermitian._scaled_pass(grid)
+    for t in range(n + 1):
+        shifted = [
+            [(GR(t) if i == j else GR(0)) - grid[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+        assert pass_value(full, den, t) == det_cofactor(shifted)
+        for i in range(n):
+            minor = [row[:i] + row[i + 1 :] for k, row in enumerate(shifted) if k != i]
+            expected = det_cofactor(minor) if minor else GR(1)
+            assert pass_value(subs[i], den, t) == expected
+
+
+@pytest.mark.parametrize("row, col", [(0, 1), (4, 0)])
+def test_cayley_hamilton_check_catches_a_corrupted_product(monkeypatch, row, col):
+    """An off-diagonal slip in the last product passes every trace division.
+
+    Row 4 of the stacked product is the imaginary part of row 1.
+    """
+    m = random_hermitian(SplitMix64(5), 3, 10)
+    original = hermitian._int_matmul
+    calls = []
+
+    def corrupted(a, bt):
+        product = original(a, bt)
+        calls.append(None)
+        if len(calls) == m.n:
+            product[row][col] += 1
+        return product
+
+    monkeypatch.setattr(hermitian, "_int_matmul", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="Cayley-Hamilton"):
+        char_poly(m)
+    assert len(calls) == m.n
 
 
 def test_char_poly_examples():

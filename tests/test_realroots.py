@@ -120,6 +120,13 @@ def test_endpoint_root_raises():
         count_roots_in(chain, -2, 1)
 
 
+def test_count_evaluates_each_endpoint_chain_once(monkeypatch):
+    chain = build_sturm(Polynomial.from_roots([-3, -1, 0, 2, 5]))
+    counts = _count_calls(monkeypatch, ("eval_sign",))
+    assert count_roots_in(chain, F(-1, 2), 3) == 2
+    assert counts["eval_sign"] == 2 * len(chain._int_chain)
+
+
 def test_count_rejects_empty_interval():
     chain = build_sturm(Polynomial([-1, 0, 1]))
     with pytest.raises(ValueError):
