@@ -163,8 +163,13 @@ class _RootComparer:
 
     Keeps a private, refinable copy of both interval lists.  Distinct
     roots separate after finitely many bisections; equal roots are
-    certified equal by locating a root of gcd(f, g) inside the interval
-    overlap.  Either way every comparison terminates with a proof.
+    certified equal by a root of h = gcd(f, g) in the closed overlap
+    [lo, hi] of their brackets, shown by h(lo) * h(hi) <= 0.  That one
+    sign test decides it: the carriers are squarefree, so h is; the
+    overlap lies in one isolating bracket, so h has at most one root
+    there, and a simple one; the ends of an open bracket are not roots;
+    and lo == hi only when a bracket is a point.  Either way every
+    comparison terminates with a proof.
     """
 
     def __init__(self, roots_f: RootIntervals, roots_g: RootIntervals):
@@ -173,18 +178,11 @@ class _RootComparer:
             "g": [list(iv) for iv in roots_g.intervals],
         }
         self._ints = {"f": roots_f.carrier, "g": roots_g.carrier}
-        self._shared: list[list[int]] | None | bool = None
+        self._gcd: list[int] | None = None
 
     def interval(self, owner: str, idx: int) -> tuple[Fraction, Fraction]:
         lo, hi = self._state[owner][idx]
         return lo, hi
-
-    def _shared_chain(self) -> list[list[int]] | None:
-        """Integer Sturm chain of gcd(f, g), or None if it is constant."""
-        if self._shared is None:
-            h = _intops.poly_gcd(self._ints["f"], self._ints["g"])
-            self._shared = _intops.squarefree_sturm(h)[0] if len(h) >= 2 else False
-        return self._shared or None
 
     def compare(self, a: tuple[str, int], b: tuple[str, int]) -> int:
         """-1, 0, or +1 as root a is below, equal to, or above root b."""
@@ -198,20 +196,18 @@ class _RootComparer:
                 return -1
             if b_hi <= a_lo:
                 return 1
-            # Endpoints of an open bracket are not roots, so a root of
-            # gcd(f, g) in the closed overlap is the root both brackets hold.
-            shared = self._shared_chain()
-            if shared is not None:
-                lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-                if lo == hi:
-                    sign = _intops.eval_sign(shared[0], lo.numerator, lo.denominator)
-                    tie = sign == 0
-                else:
-                    below = _intops.variations_at(shared, lo.numerator, lo.denominator)
-                    above = _intops.variations_at(shared, hi.numerator, hi.denominator)
-                    tie = below > above
-                if tie:
-                    return 0
+            # A root of gcd(f, g) in the closed overlap is the root both
+            # brackets hold.
+            if self._gcd is None:
+                self._gcd = _intops.poly_gcd(self._ints["f"], self._ints["g"])
+            h = self._gcd
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if len(h) > 1 and (
+                _intops.eval_sign(h, lo.numerator, lo.denominator)
+                * _intops.eval_sign(h, hi.numerator, hi.denominator)
+                <= 0
+            ):
+                return 0
             box_a[:] = _bisect(self._ints[a[0]], a_lo, a_hi, 1)
             box_b[:] = _bisect(self._ints[b[0]], b_lo, b_hi, 1)
 

@@ -1,10 +1,12 @@
 """Certified real root counting, isolation, and refinement.
 
-Everything here reduces to Sturm's theorem: for a squarefree p and
+Counting and isolation rest on Sturm's theorem: for a squarefree p and
 points lo < hi with p(lo), p(hi) nonzero, the number of roots in
 (lo, hi] equals V(lo) - V(hi), where V counts sign variations down the
-Sturm chain.  All queries run on integer-scaled chains, so the answers
-are exact counts, never estimates.
+Sturm chain.  An isolating interval holds one simple root of the
+carrier, so multiplicities and refinement need only the signs of one
+polynomial at its ends.  All queries run on integer polynomials, so
+the answers are exact, never estimates.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ class SturmChain:
     that isolated roots keep; later entries are not made primitive.
     Each entry is a positive multiple of the matching entry of the
     textbook rational chain, so sign variations agree exactly.
+
+    Sturm counts serve only where a bracket may hold several roots:
+    isolation and ``count_roots_in``.  Once roots are isolated, every
+    question about them (multiplicities, refinement, ties) is a sign
+    test of one polynomial at a bracket's ends.
     """
 
     __slots__ = ("_int_chain", "_gcd")
@@ -65,8 +72,8 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
 
     Raises EndpointRootError if either endpoint is a root, because the
     variation difference is unreliable there.  Callers that pick their
-    own endpoints should nudge and retry.  Each endpoint's chain signs
-    are evaluated once and serve both the root test and the count.
+    own endpoints should nudge and retry.  Each endpoint's chain is
+    evaluated once, and only past its first entry when that is no root.
     """
     lo = as_rational(lo)
     hi = as_rational(hi)
@@ -76,13 +83,10 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
         return 0
     variations = []
     for end, name in ((lo, "lower"), (hi, "upper")):
-        signs = [
-            _intops.eval_sign(c, end.numerator, end.denominator)
-            for c in chain._int_chain
-        ]
-        if signs[0] == 0:
+        v = _intops.variations_at(chain._int_chain, end.numerator, end.denominator)
+        if v is None:
             raise EndpointRootError(f"{name} endpoint {end} is a root")
-        variations.append(_intops.variations(signs))
+        variations.append(v)
     return variations[0] - variations[1]
 
 
@@ -214,10 +218,8 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[int, int, int]]:
             if abs(mid) > den << e:
                 v_mid = v_hi if mid > 0 else v_lo
                 break
-            s_mid = _intops.eval_sign(p0, mid, den)
-            if s_mid != 0:
-                rest = [_intops.eval_sign(c, mid, den) for c in ints[1:]]
-                v_mid = _intops.variations([s_mid, *rest])
+            v_mid = _intops.variations_at(ints, mid, den)
+            if v_mid is not None:
                 break
         else:
             raise InternalInconsistencyError(
@@ -235,18 +237,22 @@ def _multiplicities(
 
     With g_0 = p and g_{i+1} = gcd(g_i, g_i'), a root of multiplicity m
     in p appears in exactly g_0 .. g_{m-1}; ``g`` is g_1, where p's Sturm
-    chain ended.  The intervals are fresh isolating intervals, open with
-    endpoints that are not roots of p, hence not roots of any g_i, so
-    the Sturm counts below are legal.  Layer i counts on the chain of
-    the squarefree part of g_i, whose build also yields g_{i+1}.
+    chain ended.  Layer i divides g_i by g_{i+1}, the last entry of the
+    remainder sequence of g_i and g_i', and takes the sign of that
+    squarefree part at each interval end.  The intervals are fresh
+    isolating intervals of p: open, no end a root of p, and one root of
+    p inside, which is simple in the squarefree part.  So the part
+    changes sign across an interval exactly when that root is one of
+    its roots.
     """
     mults = [1] * len(intervals)
     while len(g) > 1:
-        layer, g = _intops.squarefree_sturm(g)
+        nxt = _intops.primitive(_intops.sturm_chain(g)[-1])
+        part = _intops.exact_quotient(g, nxt)
         for i, (a, b, den) in enumerate(intervals):
-            below = _intops.variations_at(layer, a, den)
-            if below > _intops.variations_at(layer, b, den):
+            if _intops.eval_sign(part, a, den) != _intops.eval_sign(part, b, den):
                 mults[i] += 1
+        g = nxt
     return mults
 
 

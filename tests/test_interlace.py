@@ -19,6 +19,7 @@ from interlacekit import (
     lin_comb,
     pencil_scan,
 )
+from interlacekit.interlace import _RootComparer
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -65,6 +66,23 @@ def test_shared_root_weak_versus_strict():
     assert strict.verdict == InterlaceVerdict.DOES_NOT_INTERLACE
     assert strict.failure_witness == (1, "lower")
     assert strict.strict
+    # f = x(x-2)(x-5) and g = (x-2)(x-3) share the root 2, which lies in
+    # f's bracket (1, 3) but not in its overlap (5/2, 3) with g's bracket
+    # for 3: comparing those two roots finds no tie.
+    rf = RootIntervals(
+        intervals=((F(-1), F(1)), (F(1), F(3)), (F(4), F(6))),
+        multiplicities=(1, 1, 1),
+        carrier=(0, 10, -7, 1),
+    )
+    rg = RootIntervals(
+        intervals=((F(3, 2), F(5, 2)), (F(5, 2), F(7, 2))),
+        multiplicities=(1, 1),
+        carrier=(6, -5, 1),
+    )
+    assert _RootComparer(rf, rg).compare(("f", 1), ("g", 1)) == -1
+    assert interlaces_by_roots(rf, rg).verdict == InterlaceVerdict.INTERLACES
+    strict = interlaces_by_roots(rf, rg, strict=True)
+    assert strict.failure_witness == (1, "upper")
 
 
 def test_multiplicities_expand_the_chain():

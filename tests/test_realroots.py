@@ -554,7 +554,9 @@ def _count_calls(monkeypatch, names):
 
 
 def test_sturm_builds_run_one_remainder_sequence(monkeypatch):
-    counts = _count_calls(monkeypatch, ("neg_signed_prem", "poly_gcd"))
+    counts = _count_calls(
+        monkeypatch, ("neg_signed_prem", "poly_gcd", "remainder_sequence")
+    )
     for p in (
         Polynomial.from_roots(range(-6, 6)),
         Polynomial.from_roots([F(-1, 3), 2, 5]) * Polynomial([1, 0, 1]),
@@ -567,6 +569,9 @@ def test_sturm_builds_run_one_remainder_sequence(monkeypatch):
     roots = isolate_roots(Polynomial.from_roots([-1, -1, 1, 1, 1, 2]))
     assert roots.multiplicities == (2, 3, 1)
     assert counts["poly_gcd"] == 0
+    # p's chain, its rebuild from the squarefree part, then one sequence
+    # per tower layer: gcd(p, p') has roots -1, 1, 1 and its gcd root 1.
+    assert counts["remainder_sequence"] <= 4
 
 
 def int_poly(degree):
