@@ -16,6 +16,7 @@ both routes and reports whether they tell a consistent story.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -312,8 +313,14 @@ def default_alphas(
     rationals with numerator in [-10^4, 10^4] and denominator in
     [1, 10^4] drawn from a splitmix64 stream seeded with
     DEFAULT_ALPHA_SEED.  Duplicates are dropped, keeping first
-    occurrence.
+    occurrence.  Each grid is built once per process; every call returns
+    a fresh list.
     """
+    return list(_alpha_grid(random_count))
+
+
+@functools.cache
+def _alpha_grid(random_count: int) -> tuple[Fraction, ...]:
     grid: list[Fraction] = [Fraction(0)]
     for k in range(-1, DEFAULT_ALPHA_MAX_POWER + 1):
         step = Fraction(2) ** k
@@ -322,7 +329,7 @@ def default_alphas(
     rng = SplitMix64(DEFAULT_ALPHA_SEED)
     for _ in range(random_count):
         grid.append(rng.rational(DEFAULT_ALPHA_MAGNITUDE, DEFAULT_ALPHA_MAGNITUDE))
-    return list(dict.fromkeys(grid))
+    return tuple(dict.fromkeys(grid))
 
 
 def pencil_scan(
@@ -334,7 +341,9 @@ def pencil_scan(
 
     Scans every alpha (first failure recorded as the witness, scan not
     truncated), so the report always covers the full grid.  Requires
-    deg f = deg g + 1, which keeps every combination at degree n.
+    deg f = deg g + 1, which keeps every combination at degree n.  Each
+    member is an integer polynomial with the same roots as f + alpha*g,
+    tested by ``is_real_rooted`` on its int coefficients.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("pencil scan needs nonzero polynomials")
@@ -346,20 +355,22 @@ def pencil_scan(
         grid = default_alphas()
     else:
         grid = list(dict.fromkeys(as_rational(a) for a in alphas))
-    # F and G are positive multiples of f and g.  For alpha*scale = a/b
-    # with b > 0, b*F + a*G is a positive multiple of f + alpha*g, so its
-    # Sturm chain is the same, and it is formed without Fraction arithmetic.
+    # F = cF*f and G = cG*g with cF, cG > 0, so scale = cF/cG > 0.  For
+    # alpha = an/ad, a = an*sn and b = ad*sd with b > 0 (ad, sd > 0) give
+    # b*F + a*G = b*cF*(f + alpha*g), a positive multiple with the same
+    # roots, formed on ints; is_real_rooted strips the content of (a, b).
     big_f = _intops.from_fraction_coeffs(f.coeffs)
     big_g = _intops.from_fraction_coeffs(g.coeffs)
     scale = (
         big_f[-1] * g.leading_coefficient() / (f.leading_coefficient() * big_g[-1])
     )
+    sn, sd = scale.numerator, scale.denominator
+    big_g.append(0)  # pad G to the length of F
     witness = None
     for alpha in grid:
-        ratio = alpha * scale
-        a, b = ratio.numerator, ratio.denominator
-        member = [b * x + a * y for x, y in zip(big_f, big_g + [0])]
-        if not is_real_rooted(Polynomial(member)) and witness is None:
+        a, b = alpha.numerator * sn, alpha.denominator * sd
+        member = [b * x + a * y for x, y in zip(big_f, big_g)]
+        if not is_real_rooted(member) and witness is None:
             witness = alpha
     return PencilReport(
         alphas_tested=tuple(grid),

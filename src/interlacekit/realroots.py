@@ -19,6 +19,7 @@ from typing import Sequence
 from . import _intops
 from .errors import (
     EndpointRootError,
+    InputFormatError,
     InternalInconsistencyError,
     ZeroPolynomialError,
 )
@@ -90,19 +91,34 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
     return variations[0] - variations[1]
 
 
-def is_real_rooted(p: Polynomial) -> bool:
+def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
     """True iff every complex root of p is real.
+
+    p is a ``Polynomial`` or a sequence of Python ints, the ascending
+    coefficients of an integer polynomial; trailing zeros are ignored,
+    and any other entry raises InputFormatError.  Both routes hand
+    ``_intops.is_real_rooted`` the primitive integer multiple of p with
+    a positive leading coefficient, so they agree on every input.
 
     Multiplicities do not matter: p is real rooted exactly when its
     squarefree part of degree s has s distinct real roots.  The test runs
     on p's integer subresultant sequence with p' and stops at the first
-    entry that rules that out (``_intops.is_real_rooted``); it builds no
-    Sturm chain and strips no content past p and p'.  Constants are real
-    rooted; the zero polynomial is rejected.
+    entry that rules that out; it builds no Sturm chain and strips no
+    content past p and p'.  Constants are real rooted; the zero
+    polynomial is rejected.
     """
-    if p.is_zero:
+    if isinstance(p, Polynomial):
+        ints = _intops.from_fraction_coeffs(p.coeffs)
+    else:
+        ints = list(p)
+        for c in ints:
+            if not isinstance(c, int):
+                raise InputFormatError(
+                    f"expected int coefficients, got {type(c).__name__}"
+                )
+        ints = _intops.primitive(_intops.trim(ints))
+    if not ints:
         raise ZeroPolynomialError("is_real_rooted is undefined for zero")
-    ints = _intops.from_fraction_coeffs(p.coeffs)
     return _intops.is_real_rooted(ints if ints[-1] > 0 else [-c for c in ints])
 
 

@@ -185,6 +185,11 @@ def test_default_alpha_grid_shape():
     assert len(grid) == len(set(grid))
     assert len(grid) == 89
     assert grid == default_alphas()
+    # Each call returns a fresh list, and each count keys its own grid.
+    grid.clear()
+    assert len(default_alphas()) == 89
+    short = default_alphas(3)
+    assert len(short) == 28 and short == default_alphas()[:28]
 
 
 def test_pencil_scan_finds_expected_witness():

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from interlacekit import _intops
 from interlacekit import (
     EndpointRootError,
+    InputFormatError,
     InternalInconsistencyError,
     Polynomial,
     RootIntervals,
@@ -95,7 +96,16 @@ def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         is_real_rooted(Polynomial())
     with pytest.raises(ZeroPolynomialError):
+        is_real_rooted([])
+    with pytest.raises(ZeroPolynomialError):
+        is_real_rooted([0, 0])
+    with pytest.raises(ZeroPolynomialError):
         isolate_roots(Polynomial())
+
+
+def test_reality_test_rejects_non_int_coefficients():
+    with pytest.raises(InputFormatError):
+        is_real_rooted([1, 0.5, 1])
 
 
 def test_count_examples():
@@ -802,3 +812,8 @@ def test_early_exit_reality_test_matches_the_variation_count(roots, quadratics, 
     for b, c in quadratics:
         p = p * Polynomial([c, b, 1])
     assert is_real_rooted(p) == reference_is_real_rooted(p)
+    # The int route strips content and trailing zeros to the same verdict.
+    den = lcm(*[c.denominator for c in p.coeffs])
+    k = 1 + abs(lead)
+    ints = [k * int(c * den) for c in p.coeffs] + [0, 0]
+    assert is_real_rooted(ints) == is_real_rooted(p)
