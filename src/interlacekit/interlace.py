@@ -16,7 +16,6 @@ both routes and reports whether they tell a consistent story.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -313,14 +312,8 @@ def default_alphas(
     rationals with numerator in [-10^4, 10^4] and denominator in
     [1, 10^4] drawn from a splitmix64 stream seeded with
     DEFAULT_ALPHA_SEED.  Duplicates are dropped, keeping first
-    occurrence.  Each grid is built once per process; every call returns
-    a fresh list.
+    occurrence.
     """
-    return list(_alpha_grid(random_count))
-
-
-@functools.cache
-def _alpha_grid(random_count: int) -> tuple[Fraction, ...]:
     grid: list[Fraction] = [Fraction(0)]
     for k in range(-1, DEFAULT_ALPHA_MAX_POWER + 1):
         step = Fraction(2) ** k
@@ -329,7 +322,7 @@ def _alpha_grid(random_count: int) -> tuple[Fraction, ...]:
     rng = SplitMix64(DEFAULT_ALPHA_SEED)
     for _ in range(random_count):
         grid.append(rng.rational(DEFAULT_ALPHA_MAGNITUDE, DEFAULT_ALPHA_MAGNITUDE))
-    return tuple(dict.fromkeys(grid))
+    return list(dict.fromkeys(grid))
 
 
 def pencil_scan(

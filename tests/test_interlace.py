@@ -185,7 +185,7 @@ def test_default_alpha_grid_shape():
     assert len(grid) == len(set(grid))
     assert len(grid) == 89
     assert grid == default_alphas()
-    # Each call returns a fresh list, and each count keys its own grid.
+    # Each call returns a fresh list; a smaller count gives a prefix.
     grid.clear()
     assert len(default_alphas()) == 89
     short = default_alphas(3)
