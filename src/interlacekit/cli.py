@@ -15,7 +15,8 @@ the same loop, which also counts passes and failures and keeps the
 timing block.
 
 Exit codes: 0 all checks passed, 1 at least one property violation,
-2 malformed input or I/O failure.
+2 malformed input or I/O failure.  Flags are checked once, by
+``_validate``, before any case is generated, read or written.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -48,54 +47,34 @@ from .interlace import (
     interlaces_exact,
 )
 from .polynomials import Polynomial, poly_from_strings, poly_to_strings
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .realroots import DEFAULT_WIDTH
 from .rng import trial_rng
 
 MODES = ("definition", "pencil", "identity", "cauchy", "all")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    trials: int
-    size_min: int
-    size_max: int
-    bound: int
-    out: str | None
-    # Read by ``check`` only; ``gen`` leaves them at these defaults.
-    mode: str = "all"
-    alphas: int = DEFAULT_ALPHA_RANDOM_COUNT
-    width: Fraction = DEFAULT_WIDTH
-    inputs: tuple[str, ...] = ()
-
-    def validate_common(self) -> None:
-        if self.trials < 1:
-            raise InputFormatError(f"trials must be >= 1, got {self.trials}")
-        if self.size_min < 1 or self.size_max < self.size_min:
-            raise InputFormatError(
-                f"need 1 <= size-min <= size-max,"
-                f" got {self.size_min}..{self.size_max}"
-            )
-        if self.bound < 1:
-            raise InputFormatError(f"bound must be >= 1, got {self.bound}")
-
-    def validate_check(self) -> None:
-        self.validate_common()
-        if self.alphas < 0:
-            raise InputFormatError(f"alphas must be >= 0, got {self.alphas}")
-        if self.width <= 0:
-            raise InputFormatError(f"width must be positive, got {self.width}")
-        if self.mode not in MODES:
-            raise InputFormatError(f"unknown mode {self.mode!r}")
-        if self.inputs and self.mode == "all":
-            raise InputFormatError(
-                "input files require a single mode, not 'all'"
-            )
-        if self.mode in ("identity", "cauchy", "all") and self.size_min < 2:
-            raise InputFormatError(
-                f"mode {self.mode!r} needs size-min >= 2, got {self.size_min}"
-            )
+def _validate(config: argparse.Namespace) -> None:
+    """Reject flag values no run can use, before any work starts."""
+    if config.trials < 1:
+        raise InputFormatError(f"trials must be >= 1, got {config.trials}")
+    if config.size_min < 1 or config.size_max < config.size_min:
+        raise InputFormatError(
+            f"need 1 <= size-min <= size-max,"
+            f" got {config.size_min}..{config.size_max}"
+        )
+    if config.bound < 1:
+        raise InputFormatError(f"bound must be >= 1, got {config.bound}")
+    if config.command == "gen":
+        return
+    if config.alphas < 0:
+        raise InputFormatError(f"alphas must be >= 0, got {config.alphas}")
+    if config.inputs and config.mode == "all":
+        raise InputFormatError("input files require a single mode, not 'all'")
+    if config.mode in ("identity", "cauchy", "all") and config.size_min < 2:
+        raise InputFormatError(
+            f"mode {config.mode!r} needs size-min >= 2, got {config.size_min}"
+        )
 
 
 def _dump(obj) -> str:
@@ -117,6 +96,12 @@ def _load_json(path: str):
 def _load_matrix(path: str, mode: str) -> HermitianMatrix:
     obj = _load_json(path)
     try:
+        extra = set(obj) - {"n", "entries"} if isinstance(obj, dict) else ()
+        if extra:
+            raise InputFormatError(
+                "matrix document needs exactly the keys n and entries,"
+                f" not {', '.join(map(repr, sorted(extra)))}"
+            )
         matrix = HermitianMatrix.from_json_obj(obj)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
@@ -149,14 +134,14 @@ def _random_interlacing_pair(rng, degree: int, bound: int):
     return Polynomial.from_roots(roots_f), Polynomial.from_roots(roots_g)
 
 
-def _trials(config: RunConfig):
+def _trials(config: argparse.Namespace):
     """(trial, rng, size) per generated trial; the size is the first draw."""
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
         yield trial, rng, rng.int_between(config.size_min, config.size_max)
 
 
-def _pair_cases(config: RunConfig):
+def _pair_cases(config: argparse.Namespace):
     """(record, (f, g)) for each pair file, or else each generated trial."""
     if config.inputs:
         cases = (({"path": path}, _load_pair(path)) for path in config.inputs)
@@ -171,7 +156,7 @@ def _pair_cases(config: RunConfig):
         yield record, (f, g)
 
 
-def _matrix_cases(config: RunConfig):
+def _matrix_cases(config: argparse.Namespace):
     """(record, (matrix, rng)) for each matrix file, or else each trial.
 
     ``rng`` is the stream a checker draws further values from: the rest
@@ -202,7 +187,7 @@ _DEFINITION_PASSES = {
 }
 
 
-def _definition(config: RunConfig):
+def _definition(config: argparse.Namespace):
     passing = _DEFINITION_PASSES[bool(config.inputs)]
 
     def check(f, g):
@@ -212,7 +197,7 @@ def _definition(config: RunConfig):
     return check
 
 
-def _pencil(config: RunConfig):
+def _pencil(config: argparse.Namespace):
     grid = default_alphas(random_count=config.alphas)
 
     def check(f, g):
@@ -222,7 +207,7 @@ def _pencil(config: RunConfig):
     return check
 
 
-def _identity(config: RunConfig):
+def _identity(config: argparse.Namespace):
     def check(matrix, rng):
         report = bordered_identity(matrix, rng.rational(100, 100))
         return {"report": report.as_dict(), "pass": report.exact_match}
@@ -230,13 +215,13 @@ def _identity(config: RunConfig):
     return check
 
 
-def _cauchy(config: RunConfig):
+def _cauchy(config: argparse.Namespace):
     def check(matrix, rng):
         deletions = []
         ok = True
         for k in range(matrix.n):
             try:
-                report = cauchy_check(matrix, k, config.width)
+                report = cauchy_check(matrix, k)
                 deletions.append({"k": k, "verdict": report.verdict.value})
             except InternalInconsistencyError as exc:
                 ok = False
@@ -259,7 +244,7 @@ _SUITES = {
 }
 
 
-def _config_dict(config: RunConfig) -> dict:
+def _config_dict(config: argparse.Namespace) -> dict:
     return {
         "mode": config.mode,
         "seed": config.seed,
@@ -268,13 +253,12 @@ def _config_dict(config: RunConfig) -> dict:
         "size_max": config.size_max,
         "bound": config.bound,
         "alphas": config.alphas,
-        "width": format_rational(config.width),
+        "width": format_rational(DEFAULT_WIDTH),
         "inputs": list(config.inputs),
     }
 
 
-def cmd_check(config: RunConfig) -> int:
-    config.validate_check()
+def cmd_check(config: argparse.Namespace) -> int:
     started = time.monotonic()
     suites = {}
     failures = 0
@@ -336,8 +320,7 @@ def _gen_path(template: str | None, index: int, total: int) -> str:
     return f"{stem}_{index:03d}.{ext}"
 
 
-def cmd_gen(config: RunConfig) -> int:
-    config.validate_common()
+def cmd_gen(config: argparse.Namespace) -> int:
     for trial, rng, n in _trials(config):
         matrix = random_hermitian(rng, n, config.bound)
         path = _gen_path(config.out, trial, config.trials)
@@ -372,50 +355,20 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--alphas",
         type=int,
-        default=RunConfig.alphas,
+        default=DEFAULT_ALPHA_RANDOM_COUNT,
         help="random alphas appended to the fixed pencil grid",
     )
-    check.add_argument(
-        "--width",
-        type=str,
-        default=format_rational(RunConfig.width),
-        help="interval refinement width as a rational string",
-    )
-    check.add_argument("--mode", choices=MODES, default=RunConfig.mode)
+    check.add_argument("--mode", choices=MODES, default="all")
     check.add_argument("inputs", nargs="*", help="matrix or pair files")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    check_only = {}
-    if args.command == "check":
-        try:
-            width = parse_rational(args.width)
-        except InputFormatError as exc:
-            raise InputFormatError(f"--width: {exc}") from None
-        check_only = {
-            "mode": args.mode,
-            "alphas": args.alphas,
-            "width": width,
-            "inputs": tuple(args.inputs),
-        }
-    return RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        size_min=args.size_min,
-        size_max=args.size_max,
-        bound=args.bound,
-        out=args.out,
-        **check_only,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    config = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "gen":
+        _validate(config)
+        if config.command == "gen":
             return cmd_gen(config)
         return cmd_check(config)
     except (InputFormatError, OSError) as exc:

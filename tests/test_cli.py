@@ -167,6 +167,16 @@ def test_malformed_inputs_exit_two(tmp_path):
     result = run_cli("check", "--mode", "cauchy", str(badden))
     assert result.returncode == 2
 
+    extra_key = tmp_path / "extra_key.json"
+    extra_key.write_text(json.dumps(
+        {"n": 2, "entries": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+         "x": 1}
+    ))
+    result = run_cli("check", "--mode", "cauchy", str(extra_key))
+    assert result.returncode == 2
+    assert "extra_key.json" in result.stderr and "'x'" in result.stderr
+    assert result.stdout == ""
+
     missing = run_cli("check", "--mode", "cauchy", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
 
@@ -225,18 +235,81 @@ def test_quirky_fields_exit_two_naming_the_field(tmp_path):
 
 
 def test_flag_validation_exits_two(tmp_path):
-    assert run_cli("check", "--bound", "0").returncode == 2
-    assert run_cli("check", "--trials", "0").returncode == 2
-    assert run_cli("check", "--size-min", "5", "--size-max", "3").returncode == 2
-    assert run_cli("check", "--width", "0").returncode == 2
-    for width in ("nope", "1/0"):
-        result = run_cli("check", "--width", width)
-        assert result.returncode == 2
-        assert "--width" in result.stderr
-    assert run_cli("check", "--mode", "cauchy", "--size-min", "1").returncode == 2
+    # Spectra are refined to the library's DEFAULT_WIDTH; no flag sets it.
+    out = tmp_path / "r_{i}.json"
+    for command in ("check", "gen"):
+        for width in ("1/2", "0", "nope"):
+            result = run_cli(command, "--width", width, "--out", str(out))
+            assert result.returncode == 2
+            assert "unrecognized arguments: --width" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, line, code", [
+    (["check", "--trials", "0"], "error: trials must be >= 1, got 0", 2),
+    (["check", "--size-min", "5", "--size-max", "3"],
+     "error: need 1 <= size-min <= size-max, got 5..3", 2),
+    (["check", "--bound", "0"], "error: bound must be >= 1, got 0", 2),
+    (["check", "--alphas", "-1"], "error: alphas must be >= 0, got -1", 2),
+    (["check", "--mode", "cauchy", "--size-min", "1"],
+     "error: mode 'cauchy' needs size-min >= 2, got 1", 2),
+    (["check", "--mode", "all", "PAIR"],
+     "error: input files require a single mode, not 'all'", 2),
+    (["gen", "--trials", "0"], "error: trials must be >= 1, got 0", 2),
+    (["gen", "--size-min", "0"],
+     "error: need 1 <= size-min <= size-max, got 0..6", 2),
+])
+def test_flag_validation_messages(tmp_path, argv, line, code):
     pair = tmp_path / "p.json"
     pair.write_text(json.dumps({"f": ["0", "1"], "g": ["1"]}))
-    assert run_cli("check", "--mode", "all", str(pair)).returncode == 2
+    out = tmp_path / "out_{i}.json"
+    argv = [str(pair) if a == "PAIR" else a for a in argv]
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == code
+    assert result.stderr == line + "\n"
+    assert result.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+
+def test_inconsistent_deletion_is_a_failed_record(monkeypatch, capsys):
+    from interlacekit import cli
+    from interlacekit.errors import InternalInconsistencyError
+
+    real_check = cli.cauchy_check
+
+    def cauchy_check(matrix, k, *rest):
+        if k == 1:
+            raise InternalInconsistencyError("routes disagree at k = 1")
+        return real_check(matrix, k, *rest)
+
+    monkeypatch.setattr(cli, "cauchy_check", cauchy_check)
+    code = cli.main(["check", "--mode", "cauchy", "--seed", "6", "--trials", "1",
+                     "--size-min", "3", "--size-max", "3"])
+    assert code == 1
+    suite = strip_timing(capsys.readouterr().out)["suites"]["cauchy"]
+    assert (suite["passes"], suite["failures"]) == (0, 1)
+    record = suite["trials"][0]
+    assert record["pass"] is False
+    assert record["deletions"] == [
+        {"k": 0, "verdict": "Interlaces"},
+        {"k": 1, "verdict": "Inconsistent", "detail": "routes disagree at k = 1"},
+        {"k": 2, "verdict": "Interlaces"},
+    ]
+
+
+def test_inconsistency_outside_a_record_exits_one(monkeypatch, capsys):
+    from interlacekit import cli
+    from interlacekit.errors import InternalInconsistencyError
+
+    def interlaces_exact(f, g):
+        raise InternalInconsistencyError("chain and roots disagree")
+
+    monkeypatch.setattr(cli, "interlaces_exact", interlaces_exact)
+    code = cli.main(["check", "--mode", "definition", "--seed", "6", "--trials", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "check failed: chain and roots disagree\n"
 
 
 def test_pair_degree_gap_exits_two(tmp_path):
