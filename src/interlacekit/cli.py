@@ -93,14 +93,19 @@ def _load_json(path: str):
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
+def _extra_keys(obj, keys: set[str]) -> str:
+    """The keys of a JSON object beyond the given ones, quoted and sorted."""
+    extra = set(obj) - keys if isinstance(obj, dict) else ()
+    return ", ".join(map(repr, sorted(extra)))
+
+
 def _load_matrix(path: str, mode: str) -> HermitianMatrix:
     obj = _load_json(path)
     try:
-        extra = set(obj) - {"n", "entries"} if isinstance(obj, dict) else ()
+        extra = _extra_keys(obj, {"n", "entries"})
         if extra:
             raise InputFormatError(
-                "matrix document needs exactly the keys n and entries,"
-                f" not {', '.join(map(repr, sorted(extra)))}"
+                f"matrix document needs exactly the keys n and entries, not {extra}"
             )
         matrix = HermitianMatrix.from_json_obj(obj)
     except InputFormatError as exc:
@@ -114,7 +119,11 @@ def _load_pair(path: str) -> tuple[Polynomial, Polynomial]:
     obj = _load_json(path)
     try:
         if not isinstance(obj, dict) or set(obj) != {"f", "g"}:
-            raise InputFormatError("pair document needs exactly the keys f and g")
+            extra = _extra_keys(obj, {"f", "g"})
+            raise InputFormatError(
+                "pair document needs exactly the keys f and g"
+                + (f", not {extra}" if extra else "")
+            )
         f = poly_from_strings(obj["f"])
         g = poly_from_strings(obj["g"])
     except InputFormatError as exc:
@@ -336,6 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="interlacekit",
         description="exact interlacing and Hermitian spectrum checks",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,10 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=10)
         p.add_argument("--out", type=str, default=None)
 
-    gen = sub.add_parser("gen", help="write random Hermitian matrix files")
+    gen = sub.add_parser(
+        "gen", help="write random Hermitian matrix files", allow_abbrev=False
+    )
     add_common(gen)
 
-    check = sub.add_parser("check", help="run checks and print a JSON report")
+    check = sub.add_parser(
+        "check", help="run checks and print a JSON report", allow_abbrev=False
+    )
     add_common(check)
     check.add_argument(
         "--alphas",

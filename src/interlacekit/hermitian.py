@@ -20,13 +20,7 @@ from .errors import InputFormatError, InternalInconsistencyError
 from .interlace import InterlaceReport, InterlaceVerdict, interlaces_by_roots
 from .polynomials import Polynomial
 from .rationals import Rational, as_rational, format_rational, parse_rational
-from .realroots import (
-    DEFAULT_WIDTH,
-    RootIntervals,
-    isolate_roots,
-    _positive_width,
-    refine_to,
-)
+from .realroots import DEFAULT_WIDTH, RootIntervals, isolate_roots, refine_to
 from .rng import SplitMix64
 
 
@@ -145,9 +139,13 @@ def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
 
 
 class HermitianMatrix:
-    """Immutable Hermitian matrix; the constructor rejects anything else."""
+    """Immutable Hermitian matrix; the constructor rejects anything else.
 
-    __slots__ = ("n", "entries")
+    ``_spectra`` is the Cauchy work every deletion shares, filled on
+    first use by ``_shared_work``; it is not part of the value.
+    """
+
+    __slots__ = ("n", "entries", "_spectra")
 
     def __init__(self, entries):
         grid = _as_grid(entries)
@@ -166,6 +164,7 @@ class HermitianMatrix:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_spectra", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -445,22 +444,20 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     )
 
 
-def eigen_intervals(
-    matrix: HermitianMatrix, width: Rational = DEFAULT_WIDTH
-) -> RootIntervals:
-    """Isolating intervals for all eigenvalues, refined to the width.
+def eigen_intervals(matrix: HermitianMatrix) -> RootIntervals:
+    """Isolating intervals for all eigenvalues, refined to ``DEFAULT_WIDTH``.
 
     A Hermitian matrix has exactly n real eigenvalues with multiplicity;
     that total is asserted on the certified count, so a shortfall raises
-    instead of returning a silently wrong spectrum.
+    instead of returning a silently wrong spectrum.  ``refine_to`` narrows
+    the intervals further.
     """
-    matrix = _as_hermitian(matrix)
-    return _spectrum(char_poly(matrix), matrix.n, width)
+    return _shared_work(_as_hermitian(matrix))[0]
 
 
-def _spectrum(poly: Polynomial, n: int, width: Rational) -> RootIntervals:
+def _spectrum(poly: Polynomial, n: int) -> RootIntervals:
     """Roots of a characteristic polynomial of an n-square Hermitian matrix."""
-    spectrum = refine_to(isolate_roots(poly), width)
+    spectrum = refine_to(isolate_roots(poly), DEFAULT_WIDTH)
     if spectrum.total_multiplicity != n:
         raise InternalInconsistencyError(
             f"found {spectrum.total_multiplicity} eigenvalues for n = {n}",
@@ -469,31 +466,20 @@ def _spectrum(poly: Polynomial, n: int, width: Rational) -> RootIntervals:
     return spectrum
 
 
-# (matrix, width, work) of the last _deletion_work call, or None.
-_last_deletion_work = None
-
-
-def _deletion_work(
-    matrix: HermitianMatrix, width: Rational
+def _shared_work(
+    matrix: HermitianMatrix,
 ) -> tuple[RootIntervals, tuple[Polynomial, ...]]:
     """A's spectrum and every char(A_k): what all deletions of A share.
 
-    The work of the last call is reused when the same matrix object comes
-    back with an equal width, as it does when a caller checks every
-    deletion of one matrix in a row.  The test is identity, not
-    equality: it costs no hashing of entries, and an equal matrix built
-    afresh (say, parsed again from its file) is worked out again, so
-    one input's work never stands in for another's.  Only one matrix is
-    kept alive.
+    Worked out on the first call for a matrix object and kept on it, so
+    every later ``eigen_intervals`` or ``cauchy_check`` call on that
+    object reuses it.  An equal matrix built afresh (say, parsed again
+    from its file) works it out again.
     """
-    global _last_deletion_work
-    last = _last_deletion_work
-    if last is not None and last[0] is matrix and last[1] == width:
-        return last[2]
-    full, subs = _char_polys(matrix, range(matrix.n))
-    work = (_spectrum(full, matrix.n, width), subs)
-    _last_deletion_work = (matrix, width, work)
-    return work
+    if matrix._spectra is None:
+        full, subs = _char_polys(matrix, range(matrix.n))
+        object.__setattr__(matrix, "_spectra", (_spectrum(full, matrix.n), subs))
+    return matrix._spectra
 
 
 @dataclass(frozen=True)
@@ -520,24 +506,21 @@ class CauchyReport:
         }
 
 
-def cauchy_check(
-    matrix: HermitianMatrix, k: int, width: Rational = DEFAULT_WIDTH
-) -> CauchyReport:
+def cauchy_check(matrix: HermitianMatrix, k: int) -> CauchyReport:
     """Certify that deleting row and column k interlaces the spectrum.
 
     The eigenvalues of the submatrix must always interlace those of the
     full matrix, so any other verdict is raised as an internal
     inconsistency carrying the offending report.  The full spectrum and
     the submatrix polynomials are computed once per matrix object and
-    width and shared by the calls for each k.  The width and k are
-    checked first, so a bad argument raises before any of that work and
-    leaves the shared work of the last matrix in place.
+    shared by the calls for each k.  k is checked first, so a bad index
+    raises before any of that work.  Spectra are refined to
+    ``DEFAULT_WIDTH``.
     """
     matrix = _as_hermitian(matrix)
-    width = _positive_width(width)
     _check_deletion(matrix.n, k)
-    spectrum, sub_polys = _deletion_work(matrix, width)
-    sub_spectrum = _spectrum(sub_polys[k], matrix.n - 1, width)
+    spectrum, sub_polys = _shared_work(matrix)
+    sub_spectrum = _spectrum(sub_polys[k], matrix.n - 1)
     report = CauchyReport(
         n=matrix.n,
         deleted=k,

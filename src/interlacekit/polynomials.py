@@ -189,7 +189,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of zero is undefined")
     ints = _intops.from_fraction_coeffs(p.coeffs)
-    gcd = _intops.primitive(_intops.sturm_chain(ints)[-1])
+    gcd = _intops.poly_gcd(ints, _intops.derivative(ints))
     return Polynomial(_intops.exact_quotient(ints, gcd)).monic()
 
 

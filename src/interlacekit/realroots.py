@@ -253,17 +253,16 @@ def _multiplicities(
 
     With g_0 = p and g_{i+1} = gcd(g_i, g_i'), a root of multiplicity m
     in p appears in exactly g_0 .. g_{m-1}; ``g`` is g_1, where p's Sturm
-    chain ended.  Layer i divides g_i by g_{i+1}, the last entry of the
-    remainder sequence of g_i and g_i', and takes the sign of that
-    squarefree part at each interval end.  The intervals are fresh
-    isolating intervals of p: open, no end a root of p, and one root of
-    p inside, which is simple in the squarefree part.  So the part
-    changes sign across an interval exactly when that root is one of
-    its roots.
+    chain ended.  Layer i divides g_i by g_{i+1}, from ``poly_gcd`` of
+    g_i and g_i', and takes the sign of that squarefree part at each
+    interval end.  The intervals are fresh isolating intervals of p:
+    open, no end a root of p, and one root of p inside, which is simple
+    in the squarefree part.  So the part changes sign across an interval
+    exactly when that root is one of its roots.
     """
     mults = [1] * len(intervals)
     while len(g) > 1:
-        nxt = _intops.primitive(_intops.sturm_chain(g)[-1])
+        nxt = _intops.poly_gcd(g, _intops.derivative(g))
         part = _intops.exact_quotient(g, nxt)
         for i, (a, b, den) in enumerate(intervals):
             if _intops.eval_sign(part, a, den) != _intops.eval_sign(part, b, den):
@@ -399,14 +398,6 @@ def _refine(
     return Fraction(a, den), Fraction(a + w, den)
 
 
-def _positive_width(width: Rational) -> Fraction:
-    """The refinement width as a Fraction; raises ValueError unless positive."""
-    width = as_rational(width)
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    return width
-
-
 def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     """Shrink every interval to at most the given width.
 
@@ -419,7 +410,9 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     strictly separated (hi of one is below lo of the next); intervals
     that still touch take one ``_bisect`` halving each until they do.
     """
-    width = _positive_width(width)
+    width = as_rational(width)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     p0 = roots.carrier
     refined = [
         _refine(p0, lo, hi, (ceil((hi - lo) / width) - 1).bit_length())

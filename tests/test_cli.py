@@ -245,6 +245,34 @@ def test_flag_validation_exits_two(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_flag_prefixes_are_not_accepted(tmp_path):
+    # A prefix of --alphas or --trials is an unknown flag, not the flag.
+    out = tmp_path / "r_{i}.json"
+    for argv in (
+        ["check", "--mode", "definition", "--al", "2", "--trials", "1"],
+        ["gen", "--tri", "1"],
+    ):
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+        assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pair_files_name_unexpected_keys(tmp_path):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"f": ["0", "1"], "g": ["1"], "h": 1, "a": 2}))
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({"f": ["0", "1"]}))
+    for path, tail in ((extra, ", not 'a', 'h'"), (missing, "")):
+        result = run_cli("check", "--mode", "pencil", str(path))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: {path}: pair document needs exactly the keys f and g{tail}\n"
+        )
+        assert result.stdout == ""
+
+
 @pytest.mark.parametrize("argv, line, code", [
     (["check", "--trials", "0"], "error: trials must be >= 1, got 0", 2),
     (["check", "--size-min", "5", "--size-max", "3"],

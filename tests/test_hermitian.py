@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import interlacekit.hermitian as hermitian
 from interlacekit import (
+    DEFAULT_WIDTH,
     GaussianRational,
     HermitianMatrix,
     InputFormatError,
@@ -20,6 +21,7 @@ from interlacekit import (
     eigen_intervals,
     principal_submatrix,
     random_hermitian,
+    refine_to,
     trial_rng,
 )
 
@@ -294,12 +296,12 @@ def test_identity_report_serialization():
 
 
 def test_eigen_intervals_counts_with_multiplicity():
-    spectrum = eigen_intervals(HermitianMatrix.diagonal([2, 2, 5]), F(1, 64))
+    spectrum = eigen_intervals(HermitianMatrix.diagonal([2, 2, 5]))
     assert spectrum.total_multiplicity == 3
     assert spectrum.multiplicities == (2, 1)
     for (lo, hi), root in zip(spectrum.intervals, [2, 5]):
         assert lo <= root <= hi
-        assert hi - lo <= F(1, 64)
+        assert hi - lo <= DEFAULT_WIDTH
 
 
 def test_eigen_intervals_against_numpy():
@@ -315,7 +317,7 @@ def test_eigen_intervals_against_numpy():
             ]
         )
         expected = sorted(numpy.linalg.eigvalsh(a))
-        spectrum = eigen_intervals(m, F(1, 2 ** 24))
+        spectrum = refine_to(eigen_intervals(m), F(1, 2 ** 24))
         got = [
             (lo + hi) / 2
             for (lo, hi), mult in zip(spectrum.intervals, spectrum.multiplicities)
@@ -491,7 +493,6 @@ def count_calls(monkeypatch, *names):
 
 def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     m = random_hermitian(SplitMix64(71), 6, 10)
-    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
     counts = count_calls(
         monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix"
     )
@@ -518,24 +519,35 @@ def test_an_equal_matrix_built_afresh_does_not_reuse_the_work(monkeypatch):
     assert counts["_char_poly_gaussian_int"] == 2
 
 
-def test_shared_cauchy_work_matches_fresh_calls(monkeypatch):
+def test_eigen_intervals_shares_its_work_with_cauchy_check(monkeypatch):
+    m = random_hermitian(SplitMix64(75), 5, 10)
+    counts = count_calls(monkeypatch, "_char_poly_gaussian_int", "isolate_roots")
+    spectrum = eigen_intervals(m)
+    reports = [cauchy_check(m, k) for k in range(m.n)]
+    assert counts == {"_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1}
+    assert all(r.matrix_spectrum is spectrum for r in reports)
+    assert eigen_intervals(m) is spectrum
+
+
+def test_alternating_deletions_of_two_matrices_share_their_work(monkeypatch):
     a = random_hermitian(SplitMix64(3), 5, 10)
     b = scaled_sum(random_hermitian(SplitMix64(4), 2, 10), 3)
-    widths = (F(1, 8), F(1, 2 ** 20))
-    # Runs of calls on one matrix and width reuse the work; the width
-    # changes between runs on the same matrix, and a last block
-    # alternates the matrices so that every call starts afresh.
-    runs = [(m, w) for m in (a, b) for w in widths] + [(a, w) for w in widths]
-    calls = [(m, k, w) for m, w in runs for k in range(4)]
-    calls += [(m, k, widths[0]) for k in range(4) for m in (a, b)]
     counts = count_calls(monkeypatch, "_char_poly_gaussian_int")
-    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
-    shared = [cauchy_check(m, k, w).as_dict() for m, k, w in calls]
-    assert counts["_char_poly_gaussian_int"] == len(runs) + 8
-    fresh = []
-    for m, k, w in calls:
-        monkeypatch.setattr(hermitian, "_last_deletion_work", None)
-        fresh.append(cauchy_check(m, k, w).as_dict())
+    for k in range(4):
+        cauchy_check(a, k)
+        cauchy_check(b, k)
+    assert counts["_char_poly_gaussian_int"] == 2
+
+
+def test_shared_cauchy_work_matches_fresh_calls():
+    a = random_hermitian(SplitMix64(3), 5, 10)
+    b = scaled_sum(random_hermitian(SplitMix64(4), 2, 10), 3)
+    # Alternate the matrices, then go over each again, so that every call
+    # after the first two reads work kept on its matrix.
+    calls = [(m, k) for k in range(4) for m in (a, b)]
+    calls += [(m, k) for m in (a, b) for k in range(m.n)]
+    shared = [cauchy_check(m, k).as_dict() for m, k in calls]
+    fresh = [cauchy_check(HermitianMatrix(m.entries), k).as_dict() for m, k in calls]
     assert shared == fresh
 
 
@@ -547,10 +559,10 @@ def test_cauchy_check_argument_errors_keep_their_text():
         cauchy_check(m, -1)
     with pytest.raises(InputFormatError, match=r"^cannot delete the only row of a 1x1 matrix$"):
         cauchy_check(HermitianMatrix.diagonal([4]), 0)
-    with pytest.raises(ValueError, match=r"^width must be positive, got 0$"):
-        cauchy_check(m, 0, 0)
-    with pytest.raises(ValueError, match=r"^width must be positive, got -1/2$"):
-        cauchy_check(m, 7, F(-1, 2))
+    with pytest.raises(TypeError):
+        cauchy_check(m, 0, F(1, 8))
+    with pytest.raises(TypeError):
+        eigen_intervals(m, F(1, 8))
 
 
 PLAIN_GRID = [[GR(2), GR(1, 1)], [GR(1, -1), GR(3)]]
@@ -560,7 +572,7 @@ NOT_HERMITIAN = [[GR(2), GR(1, 1)], [GR(1, 1), GR(3)]]
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m: eigen_intervals(m, F(1, 16)).intervals,
+        lambda m: eigen_intervals(m).intervals,
         lambda m: cauchy_check(m, 1).as_dict(),
         lambda m: principal_submatrix(m, 0),
         lambda m: bordered_identity(m, F(1, 3)).as_dict(),
@@ -576,20 +588,15 @@ def test_plain_grids_are_coerced_and_checked(call):
 def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
     m = random_hermitian(SplitMix64(73), 3, 10)
     other = random_hermitian(SplitMix64(74), 3, 10)
-    monkeypatch.setattr(hermitian, "_last_deletion_work", None)
     cauchy_check(m, 0)
-    memo = hermitian._last_deletion_work
-    assert memo is not None and memo[0] is m
+    memo = m._spectra
+    assert memo is not None
     counts = count_calls(monkeypatch, "_char_polys", "isolate_roots")
-    bad = [
-        (HermitianMatrix([[GR(5)]]), 0, F(1, 8), InputFormatError),
-        (other, -1, F(1, 8), InputFormatError),
-        (other, 3, F(1, 8), InputFormatError),
-        (m, 3, F(1, 8), InputFormatError),
-        (other, 0, 0, ValueError),
-    ]
-    for matrix, k, width, error in bad:
-        with pytest.raises(error):
-            cauchy_check(matrix, k, width)
-        assert hermitian._last_deletion_work is memo
+    one = HermitianMatrix([[GR(5)]])
+    bad = [(one, 0), (other, -1), (other, 3), (m, 3), (m, -1)]
+    for matrix, k in bad:
+        with pytest.raises(InputFormatError):
+            cauchy_check(matrix, k)
     assert counts == {"_char_polys": 0, "isolate_roots": 0}
+    assert one._spectra is None and other._spectra is None
+    assert m._spectra is memo

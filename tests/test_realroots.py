@@ -213,9 +213,9 @@ def test_refine_preserves_multiplicities_and_carrier():
 
 def test_refine_rejects_nonpositive_width():
     roots = isolate_roots(Polynomial([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^width must be positive, got 0$"):
         refine_to(roots, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^width must be positive, got -1/2$"):
         refine_to(roots, F(-1, 2))
 
 
@@ -578,9 +578,10 @@ def test_sturm_builds_run_one_remainder_sequence(monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     roots = isolate_roots(Polynomial.from_roots([-1, -1, 1, 1, 1, 2]))
     assert roots.multiplicities == (2, 3, 1)
-    assert counts["poly_gcd"] == 0
-    # p's chain, its rebuild from the squarefree part, then one sequence
-    # per tower layer: gcd(p, p') has roots -1, 1, 1 and its gcd root 1.
+    # p's chain, its rebuild from the squarefree part, then one gcd, and
+    # so one sequence, per tower layer: gcd(p, p') has roots -1, 1, 1 and
+    # its gcd root 1.
+    assert counts["poly_gcd"] == 2
     assert counts["remainder_sequence"] <= 4
 
 
