@@ -21,12 +21,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _intops
-from .errors import DegreeMismatchError, ZeroPolynomialError
+from .errors import DegreeMismatchError, InputFormatError, ZeroPolynomialError
 from .polynomials import Polynomial
 from .rationals import as_rational, format_rational
 from .realroots import (
     RootIntervals,
     _bisect,
+    _refine,
     is_real_rooted,
     isolate_roots,
 )
@@ -158,68 +159,6 @@ class CrosscheckReport:
         }
 
 
-class _RootComparer:
-    """Exact order decisions between isolated roots of two polynomials.
-
-    Keeps a private, refinable copy of both interval lists.  Distinct
-    roots separate after finitely many bisections; equal roots are
-    certified equal by a root of h = gcd(f, g) in the closed overlap
-    [lo, hi] of their brackets, shown by h(lo) * h(hi) <= 0.  That one
-    sign test decides it: the carriers are squarefree, so h is; the
-    overlap lies in one isolating bracket, so h has at most one root
-    there, and a simple one; the ends of an open bracket are not roots;
-    and lo == hi only when a bracket is a point.  Either way every
-    comparison terminates with a proof.
-    """
-
-    def __init__(self, roots_f: RootIntervals, roots_g: RootIntervals):
-        self._state = {
-            "f": [list(iv) for iv in roots_f.intervals],
-            "g": [list(iv) for iv in roots_g.intervals],
-        }
-        self._ints = {"f": roots_f.carrier, "g": roots_g.carrier}
-        self._gcd: list[int] | None = None
-
-    def interval(self, owner: str, idx: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self._state[owner][idx]
-        return lo, hi
-
-    def compare(self, a: tuple[str, int], b: tuple[str, int]) -> int:
-        """-1, 0, or +1 as root a is below, equal to, or above root b."""
-        box_a = self._state[a[0]][a[1]]
-        box_b = self._state[b[0]][b[1]]
-        while True:
-            (a_lo, a_hi), (b_lo, b_hi) = box_a, box_b
-            if a_lo == a_hi and b_lo == b_hi:
-                return (a_lo > b_lo) - (a_lo < b_lo)
-            if a_hi <= b_lo:
-                return -1
-            if b_hi <= a_lo:
-                return 1
-            # A root of gcd(f, g) in the closed overlap is the root both
-            # brackets hold.
-            if self._gcd is None:
-                self._gcd = _intops.poly_gcd(self._ints["f"], self._ints["g"])
-            h = self._gcd
-            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if len(h) > 1 and (
-                _intops.eval_sign(h, lo.numerator, lo.denominator)
-                * _intops.eval_sign(h, hi.numerator, hi.denominator)
-                <= 0
-            ):
-                return 0
-            box_a[:] = _bisect(self._ints[a[0]], a_lo, a_hi, 1)
-            box_b[:] = _bisect(self._ints[b[0]], b_lo, b_hi, 1)
-
-
-def _expand(owner: str, mults: Sequence[int]) -> list[tuple[str, int]]:
-    """(owner, interval index) per chain slot, repeated by multiplicity."""
-    out = []
-    for idx, m in enumerate(mults):
-        out.extend([(owner, idx)] * m)
-    return out
-
-
 def interlaces_by_roots(
     roots_f: RootIntervals, roots_g: RootIntervals, strict: bool = False
 ) -> InterlaceReport:
@@ -230,6 +169,19 @@ def interlaces_by_roots(
     walked once, each neighbour pair compared exactly, so the verdict
     comes with either a bracket certificate for the full chain or the
     first broken inequality.
+
+    Distinct roots separate after finitely many one-step halvings of
+    both brackets.  Equal roots are certified equal by a root of
+    h = gcd(f, g) in the closed overlap [lo, hi] of their brackets,
+    shown by h(lo) * h(hi) <= 0.  That one sign test decides it: the
+    carriers are squarefree, so h is; the overlap lies in one isolating
+    bracket, so h has at most one root there, and a simple one; the
+    ends of an open bracket are not roots; and lo == hi only when a
+    bracket is a point.  A bracket's first halving is a one-step
+    ``_refine``, which checks it: an open bracket without a strict sign
+    change of its carrier raises ``ValueError`` naming it.  Later
+    halvings are one-step ``_bisect`` calls.  So every comparison
+    terminates.
     """
     n = roots_f.total_multiplicity
     m = roots_g.total_multiplicity
@@ -239,14 +191,52 @@ def interlaces_by_roots(
             strict=strict,
             degrees=(n, m),
         )
+    # (owner, bracket, carrier) per chain slot; a root's repeats share
+    # one mutable bracket, which the comparisons narrow in place.
     slots = [None] * (n + m)
-    slots[0::2] = _expand("f", roots_f.multiplicities)
-    slots[1::2] = _expand("g", roots_g.multiplicities)
-    comparer = _RootComparer(roots_f, roots_g)
+    for start, owner, roots in ((0, "f", roots_f), (1, "g", roots_g)):
+        slots[start::2] = [
+            (owner, box, roots.carrier)
+            for box, mult in zip(map(list, roots.intervals), roots.multiplicities)
+            for _ in range(mult)
+        ]
+    gcd = None
+    checked = set()
+
+    def compare(a, b) -> int:
+        """-1, 0, or +1 as slot a's root is below, equal to, or above b's."""
+        nonlocal gcd
+        box_a, box_b = a[1], b[1]
+        while True:
+            (a_lo, a_hi), (b_lo, b_hi) = box_a, box_b
+            if a_lo == a_hi and b_lo == b_hi:
+                return (a_lo > b_lo) - (a_lo < b_lo)
+            if a_hi <= b_lo:
+                return -1
+            if b_hi <= a_lo:
+                return 1
+            # A root of gcd(f, g) in the closed overlap is the root both
+            # brackets hold.
+            if gcd is None:
+                gcd = _intops.poly_gcd(roots_f.carrier, roots_g.carrier)
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if len(gcd) > 1 and (
+                _intops.eval_sign(gcd, lo.numerator, lo.denominator)
+                * _intops.eval_sign(gcd, hi.numerator, hi.denominator)
+                <= 0
+            ):
+                return 0
+            for _, box, carrier in (a, b):
+                # A bracket's first halving is _refine's, which checks it
+                # and halves it as _bisect would.
+                halve = _bisect if id(box) in checked else _refine
+                checked.add(id(box))
+                box[:] = halve(carrier, *box, 1)
+
     # Largest comparison result between neighbours that keeps the chain.
     allowed = -1 if strict else 0
     for j in range(n + m - 1):
-        if comparer.compare(slots[j], slots[j + 1]) > allowed:
+        if compare(slots[j], slots[j + 1]) > allowed:
             # Slots 2k-2, 2k-1, 2k (0-based) hold r_k, s_k, r_{k+1}.
             return InterlaceReport(
                 verdict=InterlaceVerdict.DOES_NOT_INTERLACE,
@@ -257,9 +247,7 @@ def interlaces_by_roots(
     return InterlaceReport(
         verdict=InterlaceVerdict.INTERLACES,
         strict=strict,
-        chain_certificate=tuple(
-            ChainEntry(owner, *comparer.interval(owner, idx)) for owner, idx in slots
-        ),
+        chain_certificate=tuple(ChainEntry(owner, *box) for owner, box, _ in slots),
         degrees=(n, m),
     )
 
@@ -312,8 +300,10 @@ def default_alphas(
     rationals with numerator in [-10^4, 10^4] and denominator in
     [1, 10^4] drawn from a splitmix64 stream seeded with
     DEFAULT_ALPHA_SEED.  Duplicates are dropped, keeping first
-    occurrence.
+    occurrence.  A negative count raises InputFormatError.
     """
+    if random_count < 0:
+        raise InputFormatError(f"random_count must be >= 0, got {random_count}")
     grid: list[Fraction] = [Fraction(0)]
     for k in range(-1, DEFAULT_ALPHA_MAX_POWER + 1):
         step = Fraction(2) ** k

@@ -299,12 +299,13 @@ def _bisect(
     """Halve [lo, hi] up to ``steps`` times, keeping p0's sign change.
 
     The ends are integers over a common denominator that doubles each
-    step, and p0's sign at lo is carried, so a step is one evaluation.
-    A midpoint that hits a root pins (mid, mid) and ends the run; a
-    point bracket comes back unchanged.  This rule defines every refined
-    bracket: the interlacing comparer and the separation steps of
-    ``refine_to`` halve with it, and ``_refine`` reaches its answer in
-    fewer evaluations, so all of them pin the same brackets.
+    step, and p0's sign at lo is carried, so a call evaluates lo and one
+    midpoint per step.  A midpoint that hits a root pins (mid, mid) and
+    ends the run; a point bracket comes back unchanged.  This rule
+    defines every refined bracket, and ``_refine`` reaches the same
+    ones.  It checks no sign change: its callers, the separation steps
+    of ``refine_to`` and the interlacing walk, take one step at a time,
+    and only on brackets that ``_refine`` has checked.
     """
     if steps <= 0 or lo == hi:
         return lo, hi
@@ -338,9 +339,11 @@ def _refine(
     On a miss the cell takes one plain halving and m halves.  A zero at
     any evaluated point is r itself, on the grid, and pins it.  Values
     come from ``_intops.eval_scaled`` over the common denominator, so
-    the secant root is exact.  Any other bracket goes to ``_bisect``.
+    the secant root is exact.  A point comes back unchanged; any other
+    bracket without a strict sign change raises ``ValueError`` naming
+    it, even at ``steps <= 0``.
     """
-    if steps <= 0 or lo == hi:
+    if lo == hi:
         return lo, hi
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -348,7 +351,9 @@ def _refine(
     va = _intops.eval_scaled(p0, a, den)
     vb = _intops.eval_scaled(p0, a + w, den)
     if va == 0 or vb == 0 or (va > 0) == (vb > 0):
-        return _bisect(p0, lo, hi, steps)
+        raise ValueError(f"no strict sign change across bracket [{lo}, {hi}]")
+    if steps <= 0:
+        return lo, hi
     d = len(p0) - 1
     m = 1
     while steps:
@@ -409,6 +414,8 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     the multiplicities.  After refinement, consecutive intervals are
     strictly separated (hi of one is below lo of the next); intervals
     that still touch take one ``_bisect`` halving each until they do.
+    An open interval without a strict sign change of the carrier at its
+    ends raises ``ValueError``, even one already narrow enough.
     """
     width = as_rational(width)
     if width <= 0:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from interlacekit import (
     DegreeMismatchError,
+    InputFormatError,
     InterlaceVerdict,
     Polynomial,
     RootIntervals,
@@ -19,7 +20,6 @@ from interlacekit import (
     lin_comb,
     pencil_scan,
 )
-from interlacekit.interlace import _RootComparer
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -68,7 +68,8 @@ def test_shared_root_weak_versus_strict():
     assert strict.strict
     # f = x(x-2)(x-5) and g = (x-2)(x-3) share the root 2, which lies in
     # f's bracket (1, 3) but not in its overlap (5/2, 3) with g's bracket
-    # for 3: comparing those two roots finds no tie.
+    # for 3: comparing those two roots finds no tie, so the walk halves
+    # the brackets until f's root 2 lies wholly below g's root 3.
     rf = RootIntervals(
         intervals=((F(-1), F(1)), (F(1), F(3)), (F(4), F(6))),
         multiplicities=(1, 1, 1),
@@ -79,8 +80,11 @@ def test_shared_root_weak_versus_strict():
         multiplicities=(1, 1),
         carrier=(6, -5, 1),
     )
-    assert _RootComparer(rf, rg).compare(("f", 1), ("g", 1)) == -1
-    assert interlaces_by_roots(rf, rg).verdict == InterlaceVerdict.INTERLACES
+    weak = interlaces_by_roots(rf, rg)
+    assert weak.verdict == InterlaceVerdict.INTERLACES
+    r_2, s_2 = weak.chain_certificate[2:4]
+    assert (r_2.owner, s_2.owner) == ("f", "g")
+    assert r_2.hi <= s_2.lo
     strict = interlaces_by_roots(rf, rg, strict=True)
     assert strict.failure_witness == (1, "upper")
 
@@ -190,6 +194,11 @@ def test_default_alpha_grid_shape():
     assert len(default_alphas()) == 89
     short = default_alphas(3)
     assert len(short) == 28 and short == default_alphas()[:28]
+
+
+def test_default_alphas_rejects_a_negative_count():
+    with pytest.raises(InputFormatError, match="random_count must be >= 0, got -5"):
+        default_alphas(-5)
 
 
 def test_pencil_scan_finds_expected_witness():

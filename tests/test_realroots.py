@@ -1,5 +1,8 @@
+import re
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
-from math import ceil, lcm
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -776,14 +779,58 @@ def test_refine_to_matches_the_reference_bisection(values, squares, width):
     "interval",
     [(F(-2), F(2)), (F(2), F(3)), (F(-1), F(3)), (F(1), F(1))],
 )
-def test_refine_to_bisects_brackets_without_a_sign_change(interval):
+def test_refine_to_rejects_brackets_without_a_sign_change(interval):
     # Hand-built brackets that break the one-root invariant of x^2 - 1:
-    # both roots inside, no root, a root at an end, a point.
+    # both roots inside, no root, a root at an end.  A point is final
+    # and comes back unchanged.
     roots = RootIntervals((interval,), (1,), (-1, 0, 1))
+    lo, hi = interval
     for width in (F(1, 2 ** 10), F(1, 3)):
-        steps = (ceil((interval[1] - interval[0]) / width) - 1).bit_length()
-        expected = _bisect(roots.carrier, *interval, steps)
-        assert refine_to(roots, width).intervals == (expected,)
+        if lo == hi:
+            assert refine_to(roots, width).intervals == (interval,)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"[{lo}, {hi}]")):
+                refine_to(roots, width)
+
+
+@contextmanager
+def raises_value_error_within(seconds, match):
+    """pytest.raises(ValueError) that fails, not hangs, on a runaway loop."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        with pytest.raises(ValueError, match=re.escape(match)):
+            yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The point (1, 1) touches the open bracket (0, 1), which ends on the
+# root 1 of the carrier x - 1.
+touching = RootIntervals(((F(0), F(1)), (F(1), F(1))), (1, 1), (-1, 1))
+# Brackets that hold no root of x^2 + 1.
+rootless_f = RootIntervals(((F(0), F(2)), (F(3), F(4))), (1, 1), (1, 0, 1))
+rootless_g = RootIntervals(((F(1), F(2)),), (1,), (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, bracket",
+    [
+        (lambda: refine_to(touching, F(1, 4)), "[0, 1]"),
+        (lambda: refine_to(touching, F(4)), "[0, 1]"),  # no halving steps
+        (lambda: interlaces_by_roots(rootless_f, rootless_g), "[0, 2]"),
+    ],
+    ids=["refine_to", "refine_to_no_steps", "interlaces_by_roots"],
+)
+def test_uncertified_brackets_raise_instead_of_looping(call, bracket):
+    # Halving such a bracket never separates it from its neighbour.
+    with raises_value_error_within(5, bracket):
+        call()
 
 
 def reference_is_real_rooted(p):
