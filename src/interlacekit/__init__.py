@@ -45,6 +45,7 @@ from .interlace import (
     PencilReport,
     default_alphas,
     hko_crosscheck,
+    interlaces_by_index,
     interlaces_by_roots,
     interlaces_exact,
     pencil_scan,
@@ -97,6 +98,7 @@ __all__ = [
     "eigen_intervals",
     "format_rational",
     "hko_crosscheck",
+    "interlaces_by_index",
     "interlaces_by_roots",
     "interlaces_exact",
     "is_real_rooted",

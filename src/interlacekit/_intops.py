@@ -222,6 +222,31 @@ def is_real_rooted(p: IntPoly) -> bool:
     return True
 
 
+def interlace_index(f: IntPoly, g: IntPoly) -> tuple[bool, int]:
+    """Whether f and g weakly interlace, and deg gcd(f, g); deg f = deg g + 1.
+
+    For coprime f and g the Cauchy index V(-inf) - V(+inf) of their
+    remainder sequence has magnitude deg f exactly when f has deg f
+    simple real roots and the residues of g/f share one sign, that is,
+    when the roots strictly interlace (Hermite-Kakeya-Obreschkoff).
+    Otherwise the sequence ends at h = gcd(f, g), and dropping a common
+    root leaves the interlacing chain intact, so f and g interlace
+    exactly when h is real rooted and f/h, g/h pass the same test.  The
+    sequence of f/h and g/h is this one divided by h, since rem(h*a,
+    h*b) = h*rem(a, b), and dividing every entry by h keeps the
+    variations at +-inf; so one sequence gives the index of both pairs.
+    No root is isolated.  The pair interlaces strictly iff it interlaces
+    and the gcd degree is 0.
+    """
+    seq = remainder_sequence(f, g)
+    h = primitive(seq[-1])
+    index = variations_at_infinity(seq, -1) - variations_at_infinity(seq, 1)
+    weak = abs(index) == len(seq[0]) - len(h)
+    if weak and len(h) > 1:
+        weak = is_real_rooted(h if h[-1] > 0 else [-c for c in h])
+    return weak, len(h) - 1
+
+
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient; [] only if both zero.
 

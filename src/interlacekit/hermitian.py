@@ -10,12 +10,14 @@ of the full matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable
 
+from . import _intops
 from .errors import InputFormatError, InternalInconsistencyError
 from .interlace import InterlaceReport, InterlaceVerdict, interlaces_by_roots
 from .polynomials import Polynomial
@@ -275,23 +277,27 @@ def _char_poly_gaussian_int(real_form: list[list[int]]) -> tuple[_Parts, list[_P
     return coeffs[::-1], [list(d[::-1]) for d in zip(*diagonals)]
 
 
-def _real_poly(parts: _Parts, den: int, what: str) -> Polynomial:
-    """Polynomial with coefficient j equal to re_j / den**(d - j), d its degree.
+def _real_ints(parts: _Parts, den: int, what: str) -> list[int]:
+    """The real parts re_j of the (re, im) coefficients of a char(DA).
 
     Hermitian matrices have real characteristic coefficients; that is
     asserted on the exact results, so a nonzero imaginary residue can
     never be silently dropped.
     """
     d = len(parts) - 1
-    coeffs = []
-    for j, (re, im) in enumerate(parts):
+    for j, (_, im) in enumerate(parts):
         if im != 0:
             raise InternalInconsistencyError(
                 f"{what} {j} has nonzero imaginary part"
                 f" {Fraction(im, den ** (d - j))}"
             )
-        coeffs.append(Fraction(re, den ** (d - j)))
-    return Polynomial(coeffs)
+    return [re for re, _ in parts]
+
+
+def _unscaled(coeffs: list[int], den: int) -> Polynomial:
+    """char(A) from char(DA): coefficient j is c_j / den**(d - j), d its degree."""
+    d = len(coeffs) - 1
+    return Polynomial([Fraction(c, den ** (d - j)) for j, c in enumerate(coeffs)])
 
 
 def _scaled_pass(grid: Grid) -> tuple[int, _Parts, list[_Parts]]:
@@ -312,6 +318,15 @@ def _scaled_pass(grid: Grid) -> tuple[int, _Parts, list[_Parts]]:
     return den, *_char_poly_gaussian_int(real_form)
 
 
+def _scaled_chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
+    """D, and the integer coefficients of char(DA) and of every char(DA_i)."""
+    den, full, subs = _scaled_pass(matrix.entries)
+    return den, _real_ints(full, den, "characteristic coefficient"), [
+        _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
+        for i, sub in enumerate(subs)
+    ]
+
+
 def _char_polys(
     matrix: HermitianMatrix, deletions: Iterable[int]
 ) -> tuple[Polynomial, tuple[Polynomial, ...]]:
@@ -319,11 +334,8 @@ def _char_polys(
 
     Only the listed deletions are turned into Fraction polynomials.
     """
-    den, full, subs = _scaled_pass(matrix.entries)
-    return _real_poly(full, den, "characteristic coefficient"), tuple(
-        _real_poly(subs[i], den, f"submatrix {i} characteristic coefficient")
-        for i in deletions
-    )
+    den, char, sub_chars = _scaled_chars(matrix)
+    return _unscaled(char, den), tuple(_unscaled(sub_chars[i], den) for i in deletions)
 
 
 def det_exact(matrix) -> GaussianRational:
@@ -450,7 +462,9 @@ def eigen_intervals(matrix: HermitianMatrix) -> RootIntervals:
     A Hermitian matrix has exactly n real eigenvalues with multiplicity;
     that total is asserted on the certified count, so a shortfall raises
     instead of returning a silently wrong spectrum.  ``refine_to`` narrows
-    the intervals further.
+    the intervals further.  The spectrum is part of the work every
+    ``cauchy_check`` on the same matrix object shares, so it is isolated
+    once per object.
     """
     return _shared_work(_as_hermitian(matrix))[0]
 
@@ -468,33 +482,51 @@ def _spectrum(poly: Polynomial, n: int) -> RootIntervals:
 
 def _shared_work(
     matrix: HermitianMatrix,
-) -> tuple[RootIntervals, tuple[Polynomial, ...]]:
-    """A's spectrum and every char(A_k): what all deletions of A share.
+) -> tuple[RootIntervals, int, list[int], list[list[int]]]:
+    """What all deletions of A share: A's spectrum, D, char(DA), every char(DA_k).
 
-    Worked out on the first call for a matrix object and kept on it, so
-    every later ``eigen_intervals`` or ``cauchy_check`` call on that
-    object reuses it.  An equal matrix built afresh (say, parsed again
-    from its file) works it out again.
+    D is the least common denominator of A's entries, and the integer
+    coefficients of char(DA) and char(DA_k) come straight from the one
+    Faddeev-LeVerrier pass; their roots are those of char(A) and
+    char(A_k) times D > 0, so interlacing is the same.  No submatrix
+    spectrum is isolated here.  Worked out on the first call for a
+    matrix object and kept on it, so every later ``eigen_intervals`` or
+    ``cauchy_check`` call on that object reuses it.  An equal matrix
+    built afresh (say, parsed again from its file) works it out again.
     """
     if matrix._spectra is None:
-        full, subs = _char_polys(matrix, range(matrix.n))
-        object.__setattr__(matrix, "_spectra", (_spectrum(full, matrix.n), subs))
+        den, char, sub_chars = _scaled_chars(matrix)
+        spectrum = _spectrum(_unscaled(char, den), matrix.n)
+        object.__setattr__(matrix, "_spectra", (spectrum, den, char, sub_chars))
     return matrix._spectra
 
 
 @dataclass(frozen=True)
 class CauchyReport:
-    """Certified interlacing of a principal submatrix spectrum."""
+    """Interlacing of a principal submatrix spectrum with the full one.
+
+    ``verdict`` is decided by the Cauchy index of char(A_k)/char(A)
+    (``_intops.interlace_index``), with no root isolation.
+    ``submatrix_spectrum`` is isolated and refined to ``DEFAULT_WIDTH``,
+    and ``interlace`` walks both spectra with ``interlaces_by_roots`` for
+    its chain certificate, each on first access and then cached.
+    ``as_dict`` reads both.
+    """
 
     n: int
     deleted: int
     matrix_spectrum: RootIntervals
-    submatrix_spectrum: RootIntervals
-    interlace: InterlaceReport
+    verdict: InterlaceVerdict
+    _matrix: HermitianMatrix = field(repr=False)
 
-    @property
-    def verdict(self) -> InterlaceVerdict:
-        return self.interlace.verdict
+    @cached_property
+    def submatrix_spectrum(self) -> RootIntervals:
+        _, den, _, sub_chars = _shared_work(self._matrix)
+        return _spectrum(_unscaled(sub_chars[self.deleted], den), self.n - 1)
+
+    @cached_property
+    def interlace(self) -> InterlaceReport:
+        return interlaces_by_roots(self.matrix_spectrum, self.submatrix_spectrum)
 
     def as_dict(self) -> dict:
         return {
@@ -509,26 +541,38 @@ class CauchyReport:
 def cauchy_check(matrix: HermitianMatrix, k: int) -> CauchyReport:
     """Certify that deleting row and column k interlaces the spectrum.
 
-    The eigenvalues of the submatrix must always interlace those of the
-    full matrix, so any other verdict is raised as an internal
-    inconsistency carrying the offending report.  The full spectrum and
-    the submatrix polynomials are computed once per matrix object and
-    shared by the calls for each k.  k is checked first, so a bad index
-    raises before any of that work.  Spectra are refined to
-    ``DEFAULT_WIDTH``.
+    The verdict comes from one remainder sequence of char(DA) and
+    char(DA_k), D the common denominator of A's entries, plus a reality
+    test of their gcd when it is not constant.  A deletion whose
+    polynomials share a root (a repeated eigenvalue, say) also walks
+    both spectra at once, and the two routes must agree.  The eigenvalues of the submatrix must
+    always interlace those of the full matrix, so a disagreement or any
+    other verdict is raised as an internal inconsistency carrying the
+    offending report.  The full spectrum and the integer submatrix
+    polynomials are computed once per matrix object and shared by the
+    calls for each k; a submatrix spectrum is isolated only when the
+    report's ``submatrix_spectrum`` or ``interlace`` is read.  k is
+    checked first, so a bad index raises before any of that work.
     """
     matrix = _as_hermitian(matrix)
     _check_deletion(matrix.n, k)
-    spectrum, sub_polys = _shared_work(matrix)
-    sub_spectrum = _spectrum(sub_polys[k], matrix.n - 1)
-    report = CauchyReport(
-        n=matrix.n,
-        deleted=k,
-        matrix_spectrum=spectrum,
-        submatrix_spectrum=sub_spectrum,
-        interlace=interlaces_by_roots(spectrum, sub_spectrum),
+    spectrum, _, char, sub_chars = _shared_work(matrix)
+    interlaces, shared = _intops.interlace_index(char, sub_chars[k])
+    verdict = (
+        InterlaceVerdict.INTERLACES if interlaces else InterlaceVerdict.DOES_NOT_INTERLACE
     )
-    if report.verdict != InterlaceVerdict.INTERLACES:
+    report = CauchyReport(
+        n=matrix.n, deleted=k, matrix_spectrum=spectrum, verdict=verdict, _matrix=matrix
+    )
+    if shared or not interlaces:
+        walked = report.interlace.verdict
+        if walked != report.verdict:
+            raise InternalInconsistencyError(
+                f"Cauchy index and root order disagree (deleted {k}):"
+                f" {report.verdict.value} against {walked.value}",
+                report=report,
+            )
+    if not interlaces:
         raise InternalInconsistencyError(
             f"submatrix spectrum failed to interlace (deleted {k}):"
             f" {report.verdict.value}",

@@ -3,9 +3,12 @@
 Two real-rooted polynomials f (degree n) and g (degree n - 1) interlace
 when their roots, listed with multiplicity, can be merged into the weak
 chain r_1 <= s_1 <= r_2 <= ... <= s_{n-1} <= r_n.  That combinatorial
-condition is decided here exactly, with every root comparison settled by
-interval refinement plus a gcd certificate for ties, never by a
-tolerance.
+condition is decided here exactly, never by a tolerance, by two routes.
+interlaces_by_roots walks isolated roots, each comparison settled by
+interval refinement plus a gcd certificate for ties, and returns the
+chain certificate or the first broken inequality.  interlaces_by_index
+reads the Cauchy index of g/f off one integer remainder sequence,
+isolating nothing and certifying nothing.
 
 The companion check is analytic: if f and g interlace then every member
 f + alpha*g of the real pencil is real rooted.  A finite alpha scan can
@@ -178,10 +181,10 @@ def interlaces_by_roots(
     bracket, so h has at most one root there, and a simple one; the
     ends of an open bracket are not roots; and lo == hi only when a
     bracket is a point.  A bracket's first halving is a one-step
-    ``_refine``, which checks it: an open bracket without a strict sign
-    change of its carrier raises ``ValueError`` naming it.  Later
-    halvings are one-step ``_bisect`` calls.  So every comparison
-    terminates.
+    ``_refine``, which checks it: a point that is no root of its
+    carrier, or an open bracket without a strict sign change of its
+    carrier, raises ``ValueError`` naming it.  Later halvings are
+    one-step ``_bisect`` calls.  So every comparison terminates.
     """
     n = roots_f.total_multiplicity
     m = roots_g.total_multiplicity
@@ -287,6 +290,25 @@ def interlaces_exact(
     # Real rooted, so the root counts with multiplicity are the degrees.
     report = interlaces_by_roots(isolate_roots(f), isolate_roots(g), strict=strict)
     return replace(report, **fields)
+
+
+def interlaces_by_index(f: Polynomial, g: Polynomial, strict: bool = False) -> bool:
+    """True iff ``interlaces_exact(f, g, strict)`` would say Interlaces.
+
+    Decided from the Cauchy index of g/f on one integer remainder
+    sequence, plus a reality test of h = gcd(f, g) when it is not
+    constant (``_intops.interlace_index``), so no root is isolated and no
+    certificate is built.  A degree gap other than one gives False; a
+    zero input raises, as in ``interlaces_exact``.
+    """
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("interlacing needs nonzero polynomials")
+    if f.degree != g.degree + 1:
+        return False
+    weak, shared = _intops.interlace_index(
+        _intops.from_fraction_coeffs(f.coeffs), _intops.from_fraction_coeffs(g.coeffs)
+    )
+    return weak and not (strict and shared)
 
 
 def default_alphas(

@@ -339,11 +339,14 @@ def _refine(
     On a miss the cell takes one plain halving and m halves.  A zero at
     any evaluated point is r itself, on the grid, and pins it.  Values
     come from ``_intops.eval_scaled`` over the common denominator, so
-    the secant root is exact.  A point comes back unchanged; any other
-    bracket without a strict sign change raises ``ValueError`` naming
-    it, even at ``steps <= 0``.
+    the secant root is exact.  A point comes back unchanged if p0
+    vanishes there; a point that is no root, or an open bracket without
+    a strict sign change, raises ``ValueError`` naming it, even at
+    ``steps <= 0``.
     """
     if lo == hi:
+        if _intops.eval_sign(p0, lo.numerator, lo.denominator):
+            raise ValueError(f"point bracket [{lo}, {hi}] is not a root of its carrier")
         return lo, hi
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -415,7 +418,8 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     strictly separated (hi of one is below lo of the next); intervals
     that still touch take one ``_bisect`` halving each until they do.
     An open interval without a strict sign change of the carrier at its
-    ends raises ``ValueError``, even one already narrow enough.
+    ends raises ``ValueError``, even one already narrow enough, and so
+    does a point interval where the carrier does not vanish.
     """
     width = as_rational(width)
     if width <= 0:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -496,8 +497,15 @@ def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     counts = count_calls(
         monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix"
     )
-    for k in range(m.n):
-        assert cauchy_check(m, k).verdict == InterlaceVerdict.INTERLACES
+    reports = [cauchy_check(m, k) for k in range(m.n)]
+    assert all(r.verdict == InterlaceVerdict.INTERLACES for r in reports)
+    # The verdicts isolate only A's spectrum; each submatrix spectrum is
+    # isolated when it is first read.
+    assert counts == {
+        "_char_poly_gaussian_int": 1, "isolate_roots": 1, "principal_submatrix": 0
+    }
+    for r in reports:
+        assert r.submatrix_spectrum is r.submatrix_spectrum
     assert counts == {
         "_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1, "principal_submatrix": 0
     }
@@ -524,9 +532,23 @@ def test_eigen_intervals_shares_its_work_with_cauchy_check(monkeypatch):
     counts = count_calls(monkeypatch, "_char_poly_gaussian_int", "isolate_roots")
     spectrum = eigen_intervals(m)
     reports = [cauchy_check(m, k) for k in range(m.n)]
-    assert counts == {"_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1}
+    assert counts == {"_char_poly_gaussian_int": 1, "isolate_roots": 1}
     assert all(r.matrix_spectrum is spectrum for r in reports)
     assert eigen_intervals(m) is spectrum
+    for r in reports:
+        r.submatrix_spectrum
+    assert counts == {"_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1}
+    # A deletion whose char(A_k) shares a root with char(A) also walks
+    # both spectra at once, which isolates the submatrix spectrum.  A
+    # repeated eigenvalue stays an eigenvalue of every A_k; the path
+    # graph's eigenvalue 0 has eigenvector (1, 0, -1), so only A_1 keeps it.
+    path = [[GR(0), GR(1), GR(0)], [GR(1), GR(0), GR(1)], [GR(0), GR(1), GR(0)]]
+    repeated = HermitianMatrix.diagonal([2, 2, 5])
+    for tied, ties in ((repeated, 3), (HermitianMatrix(path), 1)):
+        counts["isolate_roots"] = 0
+        for k in range(tied.n):
+            cauchy_check(tied, k)
+        assert counts["isolate_roots"] == 1 + ties
 
 
 def test_alternating_deletions_of_two_matrices_share_their_work(monkeypatch):
@@ -600,3 +622,45 @@ def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
     assert counts == {"_char_polys": 0, "isolate_roots": 0}
     assert one._spectra is None and other._spectra is None
     assert m._spectra is memo
+
+
+def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():
+    matrices = list(one_pass_cases())
+    matrices += [random_hermitian(trial_rng(76, t), 3 + t % 8, 10) for t in range(16)]
+    ties = 0
+    for m in matrices:
+        for k in range(m.n):
+            report = cauchy_check(m, k)
+            assert report.verdict == InterlaceVerdict.INTERLACES
+            assert report.interlace.verdict == report.verdict
+            assert report.interlace is report.interlace
+            chain = report.interlace.chain_certificate
+            # Neighbours that were settled equal overlap or share a point.
+            ties += any(
+                a.hi > b.lo or a.lo == a.hi == b.lo == b.hi
+                for a, b in zip(chain, chain[1:])
+            )
+    assert ties > 0  # the scaled sums repeat every eigenvalue
+
+
+def test_a_failed_index_verdict_raises_with_the_full_report(monkeypatch, capsys):
+    from interlacekit import _intops, cli
+
+    monkeypatch.setattr(_intops, "interlace_index", lambda f, g: (False, 0))
+    m = random_hermitian(SplitMix64(77), 4, 10)
+    with pytest.raises(InternalInconsistencyError, match=r"deleted 2") as info:
+        cauchy_check(m, 2)
+    report = info.value.report
+    assert report.verdict == InterlaceVerdict.DOES_NOT_INTERLACE
+    d = report.as_dict()
+    assert sum(r["mult"] for r in d["matrix_spectrum"]) == 4
+    assert sum(r["mult"] for r in d["submatrix_spectrum"]) == 3
+    # The walk over both spectra still certifies the chain.
+    assert d["interlace"]["verdict"] == "Interlaces"
+    assert len(d["interlace"]["chain_certificate"]) == 7
+    code = cli.main(["check", "--mode", "cauchy", "--seed", "6", "--trials", "1",
+                     "--size-min", "3", "--size-max", "3"])
+    assert code == 1
+    suite = json.loads(capsys.readouterr().out)["suites"]["cauchy"]
+    verdicts = [record["verdict"] for record in suite["trials"][0]["deletions"]]
+    assert verdicts == ["Inconsistent"] * 3

@@ -10,9 +10,11 @@ from interlacekit import (
     InterlaceVerdict,
     Polynomial,
     RootIntervals,
+    SplitMix64,
     ZeroPolynomialError,
     default_alphas,
     hko_crosscheck,
+    interlaces_by_index,
     interlaces_by_roots,
     interlaces_exact,
     is_real_rooted,
@@ -400,3 +402,88 @@ def test_chain_walk_matches_brute_force(pair, strict):
         assert len(certificate) == len(merged)
         for entry, root in zip(certificate, merged):
             assert entry.lo <= root <= entry.hi
+
+
+def exact_says_interlaces(f, g, strict):
+    return interlaces_exact(f, g, strict=strict).verdict == InterlaceVerdict.INTERLACES
+
+
+# x^2 + bx + c with b^2 < 4c: a complex pair that f and g can share.
+complex_quadratics = st.sampled_from([(1, 0, 1), (5, 2, 1), (3, -3, 1), (7, 1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain_candidates(),
+    st.sampled_from([F(1), F(-1), F(3, 2), F(-2, 7)]),
+    st.one_of(st.none(), complex_quadratics),
+    st.booleans(),
+)
+def test_index_route_matches_the_exact_verdict(pair, scale, shared, strict):
+    roots_f, roots_g = pair
+    f = Polynomial.from_roots(roots_f)
+    g = scale * Polynomial.from_roots(roots_g)
+    if shared is not None:
+        f, g = f * Polynomial(shared), g * Polynomial(shared)
+    assert interlaces_by_index(f, g, strict) == exact_says_interlaces(f, g, strict)
+
+
+def seeded_pair(rng, kind):
+    """One (f, g) pair of degrees (d, d - 1) from a seeded stream.
+
+    Kinds: 0 a sorted chain, ties likely; 1 a chain with one value
+    moved; 2 g's roots drawn from f's, repeats likely; 3 a chain times a
+    shared complex quadratic; 4 random integer coefficients, most of
+    them not real rooted.  g is scaled by a rational of either sign.
+    """
+    d = rng.int_between(1, 6)
+    if kind == 4:
+        f = [rng.int_between(-5, 5) for _ in range(d)] + [rng.int_between(1, 3)]
+        g = [rng.int_between(-5, 5) for _ in range(d - 1)] + [rng.int_between(1, 3)]
+        return Polynomial(f), -Polynomial(g) if rng.below(2) else Polynomial(g)
+    values = sorted(
+        F(rng.int_between(-4, 4), rng.int_between(1, 2)) for _ in range(2 * d - 1)
+    )
+    if kind == 1:
+        values[rng.below(len(values))] += F(rng.int_between(-3, 3), 2)
+    roots_f, roots_g = values[0::2], values[1::2]
+    if kind == 2:
+        roots_g = [roots_f[rng.below(len(roots_f))] for _ in roots_g]
+    scale = rng.rational(5, 3)
+    f = Polynomial.from_roots(roots_f)
+    g = (scale or F(-1)) * Polynomial.from_roots(roots_g)
+    if kind == 3:
+        b = rng.int_between(-3, 3)
+        q = Polynomial([b * b // 4 + rng.int_between(1, 4), b, 1])
+        f, g = f * q, g * q
+    return f, g
+
+
+def test_index_route_agrees_on_4000_seeded_pairs():
+    rng = SplitMix64(2005)
+    verdicts = {True: 0, False: 0}
+    ties = 0
+    for trial in range(4000):
+        f, g = seeded_pair(rng, trial % 5)
+        weak, strict = (exact_says_interlaces(f, g, s) for s in (False, True))
+        assert interlaces_by_index(f, g) == weak, (f, g)
+        assert interlaces_by_index(f, g, strict=True) == strict, (f, g)
+        verdicts[weak] += 1
+        verdicts[strict] += 1
+        ties += weak and not strict
+    # Both verdicts, and weak-only ties, are well represented.
+    assert min(verdicts.values()) > 1000
+    assert ties > 300
+
+
+def test_index_route_edge_cases():
+    x = Polynomial([0, 1])
+    assert interlaces_by_index(x, Polynomial([-4]))  # one root, no g roots
+    assert interlaces_by_index(-x * x + 1, x, strict=True)  # negative leads
+    assert not interlaces_by_index(x * x + 1, x)  # f not real rooted
+    assert not interlaces_by_index(x * x, Polynomial([1]))  # degree gap
+    double = (x - 1) * (x - 1)
+    assert interlaces_by_index(double * (x - 3), double)  # gcd (x - 1)^2
+    assert not interlaces_by_index(double * (x - 3), double, strict=True)
+    with pytest.raises(ZeroPolynomialError):
+        interlaces_by_index(x, Polynomial())

@@ -37,6 +37,7 @@ EXPORTS = [
     "eigen_intervals",
     "format_rational",
     "hko_crosscheck",
+    "interlaces_by_index",
     "interlaces_by_roots",
     "interlaces_exact",
     "is_real_rooted",

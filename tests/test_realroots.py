@@ -12,6 +12,7 @@ from interlacekit import _intops
 from interlacekit import (
     EndpointRootError,
     InputFormatError,
+    InterlaceVerdict,
     InternalInconsistencyError,
     Polynomial,
     RootIntervals,
@@ -831,6 +832,35 @@ def test_uncertified_brackets_raise_instead_of_looping(call, bracket):
     # Halving such a bracket never separates it from its neighbour.
     with raises_value_error_within(5, bracket):
         call()
+
+
+# The point 1/3 is no root of f's carrier (x - 1)(x - 5); g's bracket
+# (0, 1) holds the root 1/3 of 3x - 1, which no dyadic midpoint hits.
+off_carrier_f = RootIntervals(((F(1, 3), F(1, 3)), (F(5), F(5))), (1, 1), (5, -6, 1))
+off_carrier_g = RootIntervals(((F(0), F(1)),), (1,), (-1, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: interlaces_by_roots(off_carrier_f, off_carrier_g),
+        lambda: refine_to(off_carrier_f, F(1, 8)),
+        lambda: refine_to(off_carrier_f, F(4)),  # no halving steps
+    ],
+    ids=["interlaces_by_roots", "refine_to", "refine_to_no_steps"],
+)
+def test_a_point_bracket_off_its_carrier_raises_instead_of_looping(call):
+    # Without the point check the walk halves g's bracket forever, and
+    # refine_to returns the bogus point unchanged.
+    with raises_value_error_within(5, "[1/3, 1/3]"):
+        call()
+
+
+def test_point_brackets_on_their_carrier_are_final():
+    roots = RootIntervals.from_roots([F(1, 3), 5])
+    assert refine_to(roots, F(1, 8)).intervals == roots.intervals
+    report = interlaces_by_roots(roots, off_carrier_g)
+    assert report.verdict == InterlaceVerdict.INTERLACES
 
 
 def reference_is_real_rooted(p):
