@@ -27,13 +27,7 @@ from . import _intops
 from .errors import DegreeMismatchError, InputFormatError, ZeroPolynomialError
 from .polynomials import Polynomial
 from .rationals import as_rational, format_rational
-from .realroots import (
-    RootIntervals,
-    _bisect,
-    _refine,
-    is_real_rooted,
-    isolate_roots,
-)
+from .realroots import RootIntervals, _refine, is_real_rooted, isolate_roots
 from .rng import SplitMix64
 
 DEFAULT_ALPHA_SEED = 0x5EED
@@ -180,11 +174,10 @@ def interlaces_by_roots(
     carriers are squarefree, so h is; the overlap lies in one isolating
     bracket, so h has at most one root there, and a simple one; the
     ends of an open bracket are not roots; and lo == hi only when a
-    bracket is a point.  A bracket's first halving is a one-step
-    ``_refine``, which checks it: a point that is no root of its
-    carrier, or an open bracket without a strict sign change of its
-    carrier, raises ``ValueError`` naming it.  Later halvings are
-    one-step ``_bisect`` calls.  So every comparison terminates.
+    bracket is a point.  Every halving is a one-step ``_refine``, which
+    checks the bracket first: a point that is no root of its carrier, or
+    an open bracket without a strict sign change of its carrier, raises
+    ``ValueError`` naming it.  So every comparison terminates.
     """
     n = roots_f.total_multiplicity
     m = roots_g.total_multiplicity
@@ -204,7 +197,6 @@ def interlaces_by_roots(
             for _ in range(mult)
         ]
     gcd = None
-    checked = set()
 
     def compare(a, b) -> int:
         """-1, 0, or +1 as slot a's root is below, equal to, or above b's."""
@@ -230,11 +222,7 @@ def interlaces_by_roots(
             ):
                 return 0
             for _, box, carrier in (a, b):
-                # A bracket's first halving is _refine's, which checks it
-                # and halves it as _bisect would.
-                halve = _bisect if id(box) in checked else _refine
-                checked.add(id(box))
-                box[:] = halve(carrier, *box, 1)
+                box[:] = _refine(carrier, *box, 1)
 
     # Largest comparison result between neighbours that keeps the chain.
     allowed = -1 if strict else 0

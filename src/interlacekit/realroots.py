@@ -129,13 +129,14 @@ class RootIntervals:
     ``intervals[k]`` is (lo, hi) with lo <= hi.  An open pair lo < hi
     holds exactly one root with the carrier nonzero at both ends; a
     degenerate pair lo == hi pins the root exactly, either because it
-    was known (``from_roots``) or because a bisection midpoint landed on
-    it.  ``multiplicities[k]`` is the root's multiplicity in the source
-    polynomial, and positive.  ``carrier`` is the squarefree part as
-    ascending integer coefficients, primitive with a positive leading
-    coefficient: the first entry of the Sturm chain.  Its sign changes
-    certify the open intervals; refinement and root comparison evaluate
-    it and nothing else.
+    was known (``from_roots``) or because a ``_refine`` grid point landed
+    on it.  ``multiplicities[k]`` is the root's multiplicity in the
+    source polynomial, a positive int; a bool or any other type raises
+    InputFormatError naming its index.  ``carrier`` is the squarefree
+    part as ascending integer coefficients, primitive with a positive
+    leading coefficient: the first entry of the Sturm chain.  Its sign
+    changes certify the open intervals; refinement and root comparison
+    evaluate it and nothing else.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -145,6 +146,11 @@ class RootIntervals:
     def __post_init__(self):
         if len(self.intervals) != len(self.multiplicities):
             raise ValueError("one multiplicity per interval required")
+        for i, m in enumerate(self.multiplicities):
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise InputFormatError(
+                    f"multiplicity {i} must be an int, got {type(m).__name__}"
+                )
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be positive")
         prev_lo = prev_hi = None
@@ -177,7 +183,7 @@ class RootIntervals:
         carrier = _intops.from_fraction_coeffs(Polynomial.from_roots(rs).coeffs)
         return cls(
             intervals=tuple((r, r) for r in rs),
-            multiplicities=tuple(int(m) for m in multiplicities),
+            multiplicities=tuple(multiplicities),
             carrier=tuple(carrier),
         )
 
@@ -196,7 +202,7 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[int, int, int]]:
     """Disjoint open intervals (a/den, b/den), one distinct real root in each.
 
     Brackets are integers over a denominator that doubles with each
-    halving, as in ``_bisect``.  A bracket holding several roots splits
+    halving, as in ``_refine``.  A bracket holding several roots splits
     at a + (b - a) / 2^j for the least j whose point is not a root; the
     carrier's sign found there starts the variation count at the split.
     The search begins at (-B, B) for the strict Cauchy bound B, so no
@@ -293,56 +299,28 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
     )
 
 
-def _bisect(
-    p0: Sequence[int], lo: Fraction, hi: Fraction, steps: int
-) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi] up to ``steps`` times, keeping p0's sign change.
-
-    The ends are integers over a common denominator that doubles each
-    step, and p0's sign at lo is carried, so a call evaluates lo and one
-    midpoint per step.  A midpoint that hits a root pins (mid, mid) and
-    ends the run; a point bracket comes back unchanged.  This rule
-    defines every refined bracket, and ``_refine`` reaches the same
-    ones.  It checks no sign change: its callers, the separation steps
-    of ``refine_to`` and the interlacing walk, take one step at a time,
-    and only on brackets that ``_refine`` has checked.
-    """
-    if steps <= 0 or lo == hi:
-        return lo, hi
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    s_lo = _intops.eval_sign(p0, a, den)
-    for _ in range(steps):
-        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
-        s_mid = _intops.eval_sign(p0, mid, den)
-        if s_mid == 0:
-            return Fraction(mid, den), Fraction(mid, den)
-        if s_lo * s_mid < 0:
-            b = mid
-        else:
-            a, s_lo = mid, s_mid
-    return Fraction(a, den), Fraction(b, den)
-
-
 def _refine(
     p0: Sequence[int], lo: Fraction, hi: Fraction, steps: int
 ) -> tuple[Fraction, Fraction]:
-    """What ``_bisect(p0, lo, hi, steps)`` returns, reached in secant jumps.
+    """Halve the bracket [lo, hi] ``steps`` times, in secant jumps.
 
-    For an open bracket with a strict sign change of p0 at its ends and
-    one root r inside, k halvings end in the level-k dyadic cell that
-    holds r, or at (r, r) when r is a point of that grid.  A jump of
-    depth m splits the cell into 2^m cells, evaluates the grid point
-    nearest the secant root and its neighbour on the side of the sign
-    change, and keeps that fine cell if it changes sign; m then doubles.
-    On a miss the cell takes one plain halving and m halves.  A zero at
-    any evaluated point is r itself, on the grid, and pins it.  Values
-    come from ``_intops.eval_scaled`` over the common denominator, so
-    the secant root is exact.  A point comes back unchanged if p0
-    vanishes there; a point that is no root, or an open bracket without
-    a strict sign change, raises ``ValueError`` naming it, even at
-    ``steps <= 0``.
+    This is the only routine that narrows a certified bracket.  For an
+    open bracket with a strict sign change of p0 at its ends and one
+    root r inside, k halvings end in the level-k dyadic cell that holds
+    r, or at (r, r) when r is a point of that grid.  At ``steps`` 1 the
+    jump index is clamped to the midpoint, so any bracket with a strict
+    sign change, whatever it holds, takes one bisection step at three
+    evaluations; the walk and the separation steps of ``refine_to``
+    halve that way.  A jump of depth m splits the cell into 2^m cells,
+    evaluates the grid point nearest the secant root and its neighbour
+    on the side of the sign change, and keeps that fine cell if it
+    changes sign; m then doubles.  On a miss the cell takes one plain
+    halving and m halves.  A zero at any evaluated point is r itself, on
+    the grid, and pins it.  Values come from ``_intops.eval_scaled`` over
+    the common denominator, so the secant root is exact.  A point comes
+    back unchanged if p0 vanishes there; a point that is no root, or an
+    open bracket without a strict sign change, raises ``ValueError``
+    naming it, even at ``steps <= 0``.
     """
     if lo == hi:
         if _intops.eval_sign(p0, lo.numerator, lo.denominator):
@@ -386,7 +364,7 @@ def _refine(
             steps -= m
             m *= 2
             continue
-        # A miss: one plain halving of the cell, as ``_bisect`` takes it.
+        # A miss: one plain halving of the cell, keeping the sign change.
         # The midpoint is grid index 2^(m-1); if the jump evaluated it,
         # its value drops the factor 2^((m-1)*d) of the finer grid.
         a, den = 2 * a, 2 * den
@@ -409,14 +387,15 @@ def _refine(
 def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     """Shrink every interval to at most the given width.
 
-    Each interval gets what the fewest ``_bisect`` halvings that reach
-    the width give: the dyadic cell where the carrier changes sign, or a
-    point interval, which is final, when a midpoint hits the root
-    exactly.  ``_refine`` gets there in secant jumps, with far fewer
-    evaluations than halvings.  Refinement preserves the root set and
-    the multiplicities.  After refinement, consecutive intervals are
+    Each interval gets what the fewest halvings that reach the width
+    give: the dyadic cell where the carrier changes sign, or a point
+    interval, which is final, when a midpoint hits the root exactly.
+    ``_refine`` gets there in secant jumps, with far fewer evaluations
+    than halvings.  Refinement preserves the root set and the
+    multiplicities.  After refinement, consecutive intervals are
     strictly separated (hi of one is below lo of the next); intervals
-    that still touch take one ``_bisect`` halving each until they do.
+    that still touch take one-step ``_refine`` halvings, one each per
+    round, until they do.
     An open interval without a strict sign change of the carrier at its
     ends raises ``ValueError``, even one already narrow enough, and so
     does a point interval where the carrier does not vanish.
@@ -436,7 +415,7 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
                 raise InternalInconsistencyError(
                     "two point intervals coincide; roots were not distinct"
                 )
-            refined[i], refined[i + 1] = _bisect(p0, *a, 1), _bisect(p0, *b, 1)
+            refined[i], refined[i + 1] = _refine(p0, *a, 1), _refine(p0, *b, 1)
     return RootIntervals(
         intervals=tuple(refined),
         multiplicities=roots.multiplicities,

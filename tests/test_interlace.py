@@ -22,6 +22,7 @@ from interlacekit import (
     lin_comb,
     pencil_scan,
 )
+from test_realroots import reference_bisect
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -402,6 +403,65 @@ def test_chain_walk_matches_brute_force(pair, strict):
         assert len(certificate) == len(merged)
         for entry, root in zip(certificate, merged):
             assert entry.lo <= root <= entry.hi
+
+
+def assert_reference_cells(f, g, certificate):
+    """Each certificate bracket is a reference bisection cell of its root.
+
+    An open bracket is ``reference_bisect`` of the isolation bracket it
+    lies in, for the halving count its width gives; a point is where the
+    reference pins.  Returns the deepest halving count seen.
+    """
+    isolated = {"f": isolate_roots(f), "g": isolate_roots(g)}
+    deepest = 0
+    for entry in certificate:
+        roots = isolated[entry.owner]
+        (lo0, hi0), = [
+            (lo, hi)
+            for lo, hi in roots.intervals
+            if lo <= entry.lo <= entry.hi <= hi
+        ]
+        if entry.lo == entry.hi:
+            pinned = reference_bisect(roots.carrier, lo0, hi0, 200)
+            assert pinned == (entry.lo, entry.hi)
+            continue
+        ratio = (hi0 - lo0) / (entry.hi - entry.lo)
+        k = ratio.numerator.bit_length() - 1
+        assert ratio == 2 ** k
+        assert reference_bisect(roots.carrier, lo0, hi0, k) == (entry.lo, entry.hi)
+        deepest = max(deepest, k)
+    return deepest
+
+
+@pytest.mark.parametrize(
+    "f_roots, g_roots, witness",
+    [
+        ([1, 3], [1 + F(1, 2 ** 40)], None),
+        ([1, 3], [1 - F(1, 2 ** 40)], (1, "lower")),
+        ([1, 3], [1 + F(1, 3 * 2 ** 40)], None),
+        # Midpoints pin all three roots of f, and g's bracket near -3/2
+        # is halved against a point.
+        ([F(-3, 2), 2, 5], [F(-3, 2) + F(1, 2 ** 40), F(23, 6)], None),
+        # The double root 1/3 never lands on the grid.  Its one bracket
+        # is halved from slot r_2 against s_1, then from slot r_3 against
+        # s_3, which is closer.
+        (
+            [0, F(1, 3), F(1, 3), 1],
+            [F(1, 3) - F(1, 2 ** 40), F(1, 3), F(1, 3) + F(1, 2 ** 48)],
+            None,
+        ),
+    ],
+)
+def test_walk_brackets_are_reference_bisection_cells(f_roots, g_roots, witness):
+    # Near ties take the walk about 40 halvings deep.
+    f, g = Polynomial.from_roots(f_roots), Polynomial.from_roots(g_roots)
+    report = interlaces_exact(f, g)
+    assert report.failure_witness == witness
+    if witness is not None:
+        assert report.verdict == InterlaceVerdict.DOES_NOT_INTERLACE
+        return
+    assert report.verdict == InterlaceVerdict.INTERLACES
+    assert assert_reference_cells(f, g, report.chain_certificate) >= 38
 
 
 def exact_says_interlaces(f, g, strict):

@@ -29,7 +29,7 @@ from interlacekit import (
     refine_to,
     squarefree_part,
 )
-from interlacekit.realroots import _bisect, _refine
+from interlacekit.realroots import _refine
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -247,6 +247,24 @@ def test_from_roots_validation():
         RootIntervals(((F(1), F(1)),), (0,), (-1, 1))
 
 
+@pytest.mark.parametrize(
+    "make, index, kind",
+    [
+        (lambda: RootIntervals.from_roots([0], [1.9]), 0, "float"),
+        (lambda: RootIntervals.from_roots([0], ["2"]), 0, "str"),
+        (lambda: RootIntervals(((F(0), F(0)),), (1.5,), (0, 1)), 0, "float"),
+        (lambda: RootIntervals.from_roots([0, 1], [2, True]), 1, "bool"),
+    ],
+    ids=["truncated float", "string", "constructor float", "bool"],
+)
+def test_multiplicities_must_be_ints(make, index, kind):
+    # Coercing with int() would truncate 1.9 to 1 and parse "2", and an
+    # unchecked float would reach interlacing reports as degrees=(1.5, 0).
+    message = f"^multiplicity {index} must be an int, got {kind}$"
+    with pytest.raises(InputFormatError, match=message):
+        make()
+
+
 def test_serialized_intervals():
     ri = RootIntervals.from_roots([1], [2])
     assert ri.to_json_obj() == [{"lo": "1", "hi": "1", "mult": 2}]
@@ -299,7 +317,7 @@ def test_refinement_never_loses_a_root(values):
 
 
 def bisect_once(p0, lo, hi):
-    """One Fraction bisection step: the reference ``_bisect`` is checked against.
+    """One Fraction bisection step: the reference ``_refine`` is checked against.
 
     Keeps the half that still changes sign, reading the sign at lo
     afresh.  A midpoint that is itself the root pins the interval to
@@ -330,14 +348,32 @@ def reference_bisect(p0, lo, hi, steps):
     st.integers(0, 40),
     st.sampled_from(["open", "root at lo", "point"]),
 )
-def test_bisect_takes_the_reference_steps(values, lo, span, steps, start):
-    # The bracket need not hold a sign change; a root at lo or a
-    # midpoint that hits a root must still match the reference.
-    p0 = isolate_roots(Polynomial.from_roots(values)).carrier
+@example([1, 2, 3], F(0), F(4), 1, "open")  # three roots, one step
+@example([F(1, 3)], F(0), F(1), 40, "open")  # off the grid at every depth
+@example([1], F(0), F(4), 5, "open")  # the second midpoint pins 1
+@example([-1, F(5, 2)], F(-3), F(7), 3, "open")  # two roots, no sign change
+@example([1], F(1, 2), F(1), 3, "point")  # a point off the carrier
+def test_refine_takes_the_reference_steps(values, lo, span, steps, start):
+    # A bracket with one root inside, or any bracket with a strict sign
+    # change for one step, matches the reference, also when a midpoint
+    # hits a root.  Other brackets are rejected, and a point on the
+    # carrier is final.
+    p = Polynomial.from_roots(values)
+    p0 = isolate_roots(p).carrier
     if start == "root at lo":
         lo = values[0]
     hi = lo if start == "point" else lo + span
-    assert _bisect(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
+    s_lo = _intops.eval_sign(p0, lo.numerator, lo.denominator)
+    s_hi = _intops.eval_sign(p0, hi.numerator, hi.denominator)
+    if lo == hi and s_lo == 0:
+        assert _refine(p0, lo, hi, steps) == (lo, hi)
+    elif s_lo * s_hi < 0:
+        assert _refine(p0, lo, hi, 1) == bisect_once(p0, lo, hi)
+        if count_roots_in(build_sturm(p), lo, hi) == 1:
+            assert _refine(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"[{lo}, {hi}]")):
+            _refine(p0, lo, hi, steps)
 
 
 def reference_isolate(p, splits=None):
@@ -726,7 +762,7 @@ def test_missed_jumps_reuse_the_midpoint_value(monkeypatch):
     # or its neighbour, the value is reused; without that reuse these
     # brackets cost 5,447 evaluations.
     runs = [(*root, steps) for steps in (5, 20, 40) for root in seeded_roots()]
-    expected = [_bisect(*run) for run in runs]
+    expected = [reference_bisect(*run) for run in runs]
     counts = _count_calls(monkeypatch, ("eval_scaled",))
     assert [_refine(*run) for run in runs] == expected
     assert counts["eval_scaled"] == 5275
