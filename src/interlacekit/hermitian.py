@@ -237,40 +237,71 @@ class HermitianMatrix:
         return cls(grid)
 
 
-def _int_matmul(a: list[list[int]], bt: list[list[int]]) -> list[list[int]]:
-    """Product with the second factor pre-transposed; plain int entries."""
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+def _slot_width(real_form: list[list[int]]) -> int:
+    """Bits per slot of a packed row: no entry of any iterate can overflow one.
+
+    With r the largest absolute row sum of the real form (r = 0 taken as
+    1), every row of A has sum_j |a_ij| <= r, so the entries of A**m have
+    modulus at most r**m and every eigenvalue at most r.  Coefficient c_j
+    of det(xI - A) is then at most C(n, j) r**j, and the iterate
+    M_k = sum_{j<k} c_j A**(k - 1 - j) has entries of modulus at most
+    r**(k - 1) 2**n.  So every slot of A M_k, k <= n, stays below
+    r**n 2**n < 2**(n bitlen(r) + n), and a signed slot of w bits holds
+    magnitudes below 2**(w - 1): one bit to spare.
+    """
+    n = len(real_form) // 2
+    r = max(sum(map(abs, row)) for row in real_form) or 1
+    return n * r.bit_length() + n + 2
+
+
+def _packed_product(real_form: list[list[int]], rows: list[int]) -> list[int]:
+    """The real form times the stacked iterate, each row one packed int."""
+    return [sum(map(mul, rf_row, rows)) for rf_row in real_form]
 
 
 def _char_poly_gaussian_int(real_form: list[list[int]]) -> tuple[_Parts, list[_Parts]]:
     """Faddeev-LeVerrier on A = R + iS, given as its real form [[R, -S], [S, R]].
 
-    The real form acts on the stack [P; Q] of M = P + iQ as A acts on M,
-    so a step is one integer product.  Returns the (re, im) parts of the
-    coefficients of det(xI - A) and of every det(xI - A_i), ascending,
-    A_i being A without row and column i: the iterates M_1 = I, ..., M_n
-    are the coefficients of adj(xI - A) = sum M_k x**(n - k), whose
-    diagonal entry (i, i) is det(xI - A_i) by Cramer's rule.  Each
-    division is exact for a Gaussian integer matrix, and is checked; so
-    is Cayley-Hamilton, A M_n + c_0 I = 0.
+    The real form acts on the stack [P; Q] of M = P + iQ as A acts on M.
+    Row j of the stack is packed into one int holding its n entries as
+    signed slots of w = ``_slot_width`` bits, entry c at bit w*c, so a
+    step is 4n**2 big-int multiply-adds (Kronecker substitution) and no
+    slot can overflow into its neighbour.  Slots are read back by adding
+    a bias of 2**(w - 1) to every slot, and c_k I is added as c_k << w*i
+    on rows i and n + i.  Returns the (re, im) parts of the coefficients
+    of det(xI - A) and of every det(xI - A_i), ascending, A_i being A
+    without row and column i: the iterates M_1 = I, ..., M_n are the
+    coefficients of adj(xI - A) = sum M_k x**(n - k), whose diagonal
+    entry (i, i) is det(xI - A_i) by Cramer's rule.  Each division is
+    exact for a Gaussian integer matrix, and is checked; so is
+    Cayley-Hamilton, A M_n + c_0 I = 0, which is every packed row zero.
     """
     n = len(real_form) // 2
-    m = [[int(i == j) for j in range(n)] for i in range(2 * n)]
+    w = _slot_width(real_form)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = half * (((1 << (w * n)) - 1) // mask)  # 2**(w - 1) in every slot
+    shifts = range(0, w * n, w)
+    rows = [1 << s for s in shifts] + [0] * n  # M_1 = I
+    diagonal = [(1, 0)] * n
     coeffs, diagonals = [(1, 0)], []
     for k in range(1, n + 1):
-        diagonals.append([(m[i][i], m[n + i][i]) for i in range(n)])
-        m = _int_matmul(real_form, list(zip(*m)))
-        q_re, r_re = divmod(-sum(m[i][i] for i in range(n)), k)
-        q_im, r_im = divmod(-sum(m[n + i][i] for i in range(n)), k)
+        diagonals.append(diagonal)
+        rows = _packed_product(real_form, rows)
+        re = [(((x + bias) >> s) & mask) - half for x, s in zip(rows, shifts)]
+        im = [(((x + bias) >> s) & mask) - half for x, s in zip(rows[n:], shifts)]
+        q_re, r_re = divmod(-sum(re), k)
+        q_im, r_im = divmod(-sum(im), k)
         if r_re or r_im:
             raise InternalInconsistencyError(
                 "Faddeev-LeVerrier hit an inexact integer division"
             )
         coeffs.append((q_re, q_im))
-        for i in range(n):
-            m[i][i] += q_re
-            m[n + i][i] += q_im
-    if any(map(any, m)):
+        for i, s in enumerate(shifts):
+            rows[i] += q_re << s
+            rows[n + i] += q_im << s
+        diagonal = [(a + q_re, b + q_im) for a, b in zip(re, im)]
+    if any(rows):
         raise InternalInconsistencyError(
             "Faddeev-LeVerrier broke Cayley-Hamilton: A M_n + c_0 I is not zero"
         )

@@ -131,12 +131,13 @@ class RootIntervals:
     degenerate pair lo == hi pins the root exactly, either because it
     was known (``from_roots``) or because a ``_refine`` grid point landed
     on it.  ``multiplicities[k]`` is the root's multiplicity in the
-    source polynomial, a positive int; a bool or any other type raises
-    InputFormatError naming its index.  ``carrier`` is the squarefree
+    source polynomial, a positive int.  ``carrier`` is the squarefree
     part as ascending integer coefficients, primitive with a positive
     leading coefficient: the first entry of the Sturm chain.  Its sign
     changes certify the open intervals; refinement and root comparison
-    evaluate it and nothing else.
+    evaluate it and nothing else.  An interval end that is not an int or
+    a Fraction, a multiplicity or carrier coefficient that is not an int,
+    or a bool in any of them, raises InputFormatError naming its index.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -153,8 +154,19 @@ class RootIntervals:
                 )
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be positive")
+        for i, c in enumerate(self.carrier):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise InputFormatError(
+                    f"carrier coefficient {i} must be an int, got {type(c).__name__}"
+                )
         prev_lo = prev_hi = None
-        for (lo, hi) in self.intervals:
+        for i, (lo, hi) in enumerate(self.intervals):
+            for end in (lo, hi):
+                if isinstance(end, bool) or not isinstance(end, (int, Fraction)):
+                    raise InputFormatError(
+                        f"interval {i} end must be an int or a Fraction,"
+                        f" got {type(end).__name__}"
+                    )
             if lo > hi:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
             if prev_hi is not None and lo < prev_hi:

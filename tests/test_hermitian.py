@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -185,23 +186,139 @@ def test_pass_matches_cofactor_char_polys_on_any_square_grid(grid):
 def test_cayley_hamilton_check_catches_a_corrupted_product(monkeypatch, row, col):
     """An off-diagonal slip in the last product passes every trace division.
 
-    Row 4 of the stacked product is the imaginary part of row 1.
+    Row 4 of the stacked product is the imaginary part of row 1.  Each
+    row is one packed int, so the slip at column col is one unit of its
+    slot, added at bit w * col.
     """
     m = random_hermitian(SplitMix64(5), 3, 10)
-    original = hermitian._int_matmul
+    original = hermitian._packed_product
     calls = []
 
-    def corrupted(a, bt):
-        product = original(a, bt)
+    def corrupted(real_form, rows):
+        product = original(real_form, rows)
         calls.append(None)
         if len(calls) == m.n:
-            product[row][col] += 1
+            product[row] += 1 << (hermitian._slot_width(real_form) * col)
         return product
 
-    monkeypatch.setattr(hermitian, "_int_matmul", corrupted)
+    monkeypatch.setattr(hermitian, "_packed_product", corrupted)
     with pytest.raises(InternalInconsistencyError, match="Cayley-Hamilton"):
         char_poly(m)
     assert len(calls) == m.n
+
+
+def reference_fl(real_form, peaks=None):
+    """Faddeev-LeVerrier on a real form with plain int entries, no packing.
+
+    The reference the packed pass must equal exactly: one scalar integer
+    matrix product per step, with the same recurrence and checks.  When
+    ``peaks`` is a list, the largest |entry| of each product A M_k is
+    appended to it.
+    """
+    n = len(real_form) // 2
+    m = [[int(i == j) for j in range(n)] for i in range(2 * n)]
+    coeffs, diagonals = [(1, 0)], []
+    for k in range(1, n + 1):
+        diagonals.append([(m[i][i], m[n + i][i]) for i in range(n)])
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in real_form]
+        if peaks is not None:
+            peaks.append(max(abs(x) for row in m for x in row))
+        q_re, r_re = divmod(-sum(m[i][i] for i in range(n)), k)
+        q_im, r_im = divmod(-sum(m[n + i][i] for i in range(n)), k)
+        assert r_re == r_im == 0
+        coeffs.append((q_re, q_im))
+        for i in range(n):
+            m[i][i] += q_re
+            m[n + i][i] += q_im
+    assert not any(map(any, m))
+    return coeffs[::-1], [list(d[::-1]) for d in zip(*diagonals)]
+
+
+def real_form(re, im):
+    """[[R, -S], [S, R]] for the Gaussian integer matrix R + iS."""
+    return [a + [-x for x in b] for a, b in zip(re, im)] + [
+        b + a for a, b in zip(re, im)
+    ]
+
+
+def sparse_parts(n, entries):
+    """(R, S) of the n-square matrix with {(i, j): (re, im)} entries, else zero."""
+    parts = [[[0] * n for _ in range(n)] for _ in range(2)]
+    for (i, j), (re, im) in entries.items():
+        parts[0][i][j], parts[1][i][j] = re, im
+    return parts
+
+
+def scalar(n, c_re, c_im=0):
+    return sparse_parts(n, {(i, i): (c_re, c_im) for i in range(n)})
+
+
+def all_equal(n, c_re, c_im=0):
+    return sparse_parts(n, {(i, j): (c_re, c_im) for i in range(n) for j in range(n)})
+
+
+def seeded_parts(n, bound, herm):
+    """(R, S) of a seeded Hermitian or general Gaussian integer matrix."""
+    rng = trial_rng(bound, 2 * n + herm)
+    if herm:
+        entries = random_hermitian(rng, n, bound).entries
+        return [[int(c.re) for c in row] for row in entries], [
+            [int(c.im) for c in row] for row in entries
+        ]
+    return [
+        [[rng.int_between(-bound, bound) for _ in range(n)] for _ in range(n)]
+        for _ in range(2)
+    ]
+
+
+HUGE = 10**40
+FL_CASES = {
+    **{
+        f"seeded n={n} bound={bound} {kind}": seeded_parts(n, bound, kind == "hermitian")
+        for n in range(1, 21)
+        for bound in (10, 10**12)
+        for kind in ("hermitian", "general")
+    },
+    # Iterates C(n-1, k-1) c**(k-1) I: the 2**n factor of the slot bound.
+    **{
+        f"{c}*I n={n}": scalar(n, c)
+        for n in (1, 2, 7, 20)
+        for c in (1, -1, 2**40 - 1, -(10**12))
+    },
+    "(3-4i)*I n=9": scalar(9, 3, -4),
+    **{f"{c}*J n={n}": all_equal(n, c) for n in (1, 5, 20) for c in (1, -(10**12))},
+    "(1+i)*J n=6": all_equal(6, 1, 1),
+    **{
+        f"huge off-diagonal n={n}": sparse_parts(n, {(0, n - 1): (HUGE, 0)})
+        for n in (2, 9, 20)
+    },
+    **{
+        f"huge mirrored off-diagonal n={n}": sparse_parts(
+            n, {(0, n - 1): (HUGE, 0), (n - 1, 0): (HUGE, 0)}
+        )
+        for n in (2, 9, 20)
+    },
+    "huge imaginary off-diagonal n=4": sparse_parts(4, {(1, 2): (0, HUGE), (2, 1): (0, -HUGE)}),
+    **{f"zero n={n}": scalar(n, 0) for n in (1, 6, 20)},
+    **{f"1x1 {c}": scalar(1, *c) for c in ((0, 0), (5, 0), (-(10**12), 3), (0, -HUGE))},
+}
+
+
+@pytest.mark.parametrize("parts", FL_CASES.values(), ids=FL_CASES.keys())
+def test_packed_pass_equals_the_reference_loop(parts):
+    """The packed pass returns exactly what the plain-int loop returns.
+
+    Every product A M_k of the reference also stays within r**k 2**n,
+    the per-step bound the slot width is derived from.
+    """
+    rf = real_form(*parts)
+    n = len(rf) // 2
+    peaks = []
+    assert hermitian._char_poly_gaussian_int(rf) == reference_fl(rf, peaks)
+    r = max(max(sum(map(abs, row)) for row in rf), 1)
+    assert all(p <= r**k * 2**n for k, p in enumerate(peaks, 1))
+    assert max(peaks) < 2 ** (hermitian._slot_width(rf) - 1)
 
 
 def test_char_poly_examples():

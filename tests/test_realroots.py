@@ -265,6 +265,37 @@ def test_multiplicities_must_be_ints(make, index, kind):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RootIntervals(((0.5, 0.5),), (1,), (-1, 2)),
+         "interval 0 end must be an int or a Fraction, got float"),
+        (lambda: RootIntervals(((F(0), F(1)), (F(2), 3.0)), (1, 1), (1, -5, 3)),
+         "interval 1 end must be an int or a Fraction, got float"),
+        (lambda: RootIntervals(((False, True),), (1,), (-1, 2)),
+         "interval 0 end must be an int or a Fraction, got bool"),
+        (lambda: RootIntervals(((0, 1),), (1,), (-1.0, 2)),
+         "carrier coefficient 0 must be an int, got float"),
+        (lambda: RootIntervals(((0, 1),), (1,), (-1, F(2))),
+         "carrier coefficient 1 must be an int, got Fraction"),
+        (lambda: RootIntervals(((0, 1),), (1,), (-1, True)),
+         "carrier coefficient 1 must be an int, got bool"),
+    ],
+    ids=["float end", "second interval", "bool ends", "float carrier",
+         "Fraction carrier", "bool carrier"],
+)
+def test_interval_ends_and_carrier_are_exact(make, message):
+    # A float end used to reach refine_to and fail there with an
+    # AttributeError on .numerator, naming no field.
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        make()
+
+
+def test_int_interval_ends_are_accepted():
+    roots = RootIntervals(((0, 1), (2, 2)), (1, 1), (2, -5, 2))
+    assert refine_to(roots, F(1, 8)).intervals == ((F(1, 2), F(1, 2)), (F(2), F(2)))
+
+
 def test_serialized_intervals():
     ri = RootIntervals.from_roots([1], [2])
     assert ri.to_json_obj() == [{"lo": "1", "hi": "1", "mult": 2}]
