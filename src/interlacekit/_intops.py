@@ -69,15 +69,24 @@ def eval_scaled(coeffs: IntPoly, num: int, den: int) -> int:
     """den**d * p(num/den) for d = deg p and den > 0, via homogenized Horner.
 
     The factor den**d is positive, so the sign is that of p(num/den), and
-    values at points over one common denominator keep their ratios.
+    values at points over one common denominator keep their ratios.  For
+    a power of two den = 2**k, the running den**i is a shift by k*i bits.
     """
     if not coeffs:
         return 0
-    acc = coeffs[-1]
+    terms = reversed(coeffs)
+    acc = next(terms)
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        shift = 0
+        for c in terms:
+            shift += k
+            acc = acc * num + (c << shift)
+        return acc
     dpow = 1
-    for i in range(len(coeffs) - 2, -1, -1):
+    for c in terms:
         dpow *= den
-        acc = acc * num + coeffs[i] * dpow
+        acc = acc * num + c * dpow
     return acc
 
 

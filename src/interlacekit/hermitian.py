@@ -131,11 +131,12 @@ def _check_square(grid: Grid) -> int:
 def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
     """First (i, j) with grid[i][j] != conj(grid[j][i]), or None."""
     n = len(grid)
-    for i in range(n):
-        if grid[i][i].im != 0:
+    for i, row in enumerate(grid):
+        if row[i].im != 0:
             return (i, i)
         for j in range(i + 1, n):
-            if grid[i][j] != grid[j][i].conjugate():
+            a, b = row[j], grid[j][i]
+            if a.re != b.re or a.im != -b.im:
                 return (i, j)
     return None
 

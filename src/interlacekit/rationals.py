@@ -18,7 +18,8 @@ from .errors import InputFormatError
 Rational = Fraction
 
 
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+# "p" or "p/q" in one match: group 1 is p, group 2 is q or None.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
 _ECHO_LIMIT = 40
 
 
@@ -42,24 +43,25 @@ def parse_rational(text: str) -> Fraction:
         raise InputFormatError(
             f"rational must be a string, got {type(text).__name__}"
         )
-    num_part, sep, den_part = text.strip().partition("/")
-    parts = (num_part, den_part) if sep else (num_part,)
-    if not all(_INTEGER.fullmatch(part) for part in parts):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise InputFormatError(f"invalid rational {_echo(text)}")
+    num_text, den_text = match.groups()
     try:
-        values = [int(part) for part in parts]
+        num = int(num_text)
+        den = None if den_text is None else int(den_text)
     except ValueError:  # only reachable past int's limit on decimal digits
         raise InputFormatError(
             f"invalid rational {_echo(text)}: an integer exceeds the"
             f" interpreter's limit of {sys.get_int_max_str_digits()} digits"
         ) from None
-    if not sep:
-        return Fraction(values[0])
-    if values[1] <= 0:
+    if den is None:
+        return Fraction(num)
+    if den <= 0:
         raise InputFormatError(
             f"invalid rational {_echo(text)}: denominator must be positive"
         )
-    return Fraction(*values)
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

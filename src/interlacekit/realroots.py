@@ -96,9 +96,10 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
 
     p is a ``Polynomial`` or a sequence of Python ints, the ascending
     coefficients of an integer polynomial; trailing zeros are ignored,
-    and any other entry raises InputFormatError.  Both routes hand
-    ``_intops.is_real_rooted`` the primitive integer multiple of p with
-    a positive leading coefficient, so they agree on every input.
+    and any other entry, a bool included, raises InputFormatError.  Both
+    routes hand ``_intops.is_real_rooted`` the primitive integer multiple
+    of p with a positive leading coefficient, so they agree on every
+    input.
 
     Multiplicities do not matter: p is real rooted exactly when its
     squarefree part of degree s has s distinct real roots.  The test runs
@@ -111,10 +112,10 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
         ints = _intops.from_fraction_coeffs(p.coeffs)
     else:
         ints = list(p)
-        for c in ints:
-            if not isinstance(c, int):
+        for i, c in enumerate(ints):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise InputFormatError(
-                    f"expected int coefficients, got {type(c).__name__}"
+                    f"coefficient {i} must be an int, got {type(c).__name__}"
                 )
         ints = _intops.primitive(_intops.trim(ints))
     if not ints:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from operator import mul
 
@@ -87,6 +88,56 @@ def test_constructor_names_the_defect():
         HermitianMatrix([[GR(0), GR(1)], [GR(2), GR(0)]])
     with pytest.raises(InputFormatError, match=r"diagonal entry \(1, 1\)"):
         HermitianMatrix([[GR(0), GR(0)], [GR(0), GR(0, 3)]])
+
+
+def reference_defect(grid):
+    """First (i, j) with grid[i][j] != conj(grid[j][i]), by whole entries."""
+    n = len(grid)
+    for i in range(n):
+        if grid[i][i].im != 0:
+            return (i, i)
+        for j in range(i + 1, n):
+            if grid[i][j] != grid[j][i].conjugate():
+                return (i, j)
+    return None
+
+
+OFF = "matrix is not Hermitian: entry ({0}, {1}) does not match the conjugate of entry ({1}, {0})"
+DIAG = "matrix is not Hermitian: diagonal entry ({0}, {0}) must be real"
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([[GR(1), GR(2, 1)], [GR(2, -1), GR(0, -1)]], DIAG.format(1)),
+        ([[GR(1), GR(2, 1)], [GR(3, -1), GR(0)]], OFF.format(0, 1)),
+        ([[GR(1), GR(2, 1)], [GR(2, 1), GR(0)]], OFF.format(0, 1)),
+        (
+            [
+                [GR(1), GR(2, 1), GR(0, 5)],
+                [GR(2, -1), GR(3), GR(F(1, 2), 4)],
+                [GR(0, -5), GR(F(1, 2), 4), GR(7)],
+            ],
+            OFF.format(1, 2),
+        ),
+    ],
+    ids=["imaginary diagonal", "real part", "imaginary sign", "later row"],
+)
+def test_hermitian_check_names_each_defect_kind(grid, message):
+    assert hermitian._hermitian_defect(grid) == reference_defect(grid)
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        HermitianMatrix(grid)
+
+
+_defect_cells = st.sampled_from([GR(0), GR(1), GR(-1), GR(0, 1), GR(0, -1), GR(1, 1), GR(1, -1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_defect_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_hermitian_check_matches_the_conjugate_reference(grid):
+    assert hermitian._hermitian_defect(grid) == reference_defect(grid)
 
 
 def test_det_examples():

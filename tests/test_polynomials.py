@@ -1,7 +1,9 @@
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlacekit import (
@@ -15,6 +17,7 @@ from interlacekit import (
     poly_to_strings,
     squarefree_part,
 )
+from interlacekit.rationals import _echo
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 polys = st.lists(rationals, min_size=0, max_size=6).map(Polynomial)
@@ -149,6 +152,94 @@ def test_parse_rational_takes_ascii_integers_only():
     for text in ["1_000", "\u0663", "1/\u0663", "\uff11", "0x10", "- 1", "1/2/3"]:
         with pytest.raises(InputFormatError):
             parse_rational(text)
+
+
+_REFERENCE_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def reference_parse_rational(text):
+    """The strip-and-partition parser that the one-match parser replaced.
+
+    One change: each part is stripped before int().  The regex \\s takes
+    the separators \\x1c-\\x1f as str.strip does, but int() rejects
+    them, so "1\\x1c/2" used to fail with a false digit-limit message.
+    """
+    num_part, sep, den_part = text.strip().partition("/")
+    parts = (num_part, den_part) if sep else (num_part,)
+    if not all(_REFERENCE_INTEGER.fullmatch(part) for part in parts):
+        raise InputFormatError(f"invalid rational {_echo(text)}")
+    try:
+        values = [int(part.strip()) for part in parts]
+    except ValueError:
+        raise InputFormatError(
+            f"invalid rational {_echo(text)}: an integer exceeds the"
+            f" interpreter's limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+    if not sep:
+        return F(values[0])
+    if values[1] <= 0:
+        raise InputFormatError(
+            f"invalid rational {_echo(text)}: denominator must be positive"
+        )
+    return F(*values)
+
+
+# ASCII and Unicode whitespace (str.strip and the regex \s must agree on
+# all of it), signs, slashes, digit separators, decimal points, non-ASCII
+# digits and letters that int() would take in other bases.
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u3000"
+_JUNK = "_.\u0663\uff11\u00b2xe"
+_spaces = st.text(_SPACES, max_size=3)
+_signs = st.sampled_from(["", "+", "-", "--", "+-"])
+_digits = st.one_of(
+    st.text("0123456789", max_size=4),
+    st.integers(0, 10**60).map(str),
+    st.text("0123456789" + _JUNK, min_size=1, max_size=4),
+)
+_parts = st.tuples(_spaces, _signs, _spaces, _digits, _spaces).map("".join)
+rational_texts = st.one_of(
+    _parts,
+    st.tuples(_parts, st.sampled_from(["/", "//", " / "]), _parts).map("".join),
+    st.text("0123456789+-/ " + _SPACES + _JUNK, max_size=12),
+)
+
+
+@settings(max_examples=600)
+@given(rational_texts)
+@example(" +03 ")
+@example("4/2")
+@example("-6 / 4")
+@example("0/5")
+@example("-0/-1")
+@example("1/0")
+@example("7/-2")
+@example("/3")
+@example("3/")
+@example("1_000")
+@example("\u00a012\u3000/\u20033\x85")
+@example("1\x1c")
+@example("1e3")
+@example("1.0")
+@example("\u0663/1")
+@example("x" * 50 + "/0")
+def test_parse_rational_matches_the_reference(text):
+    try:
+        expected = reference_parse_rational(text)
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == str(exc)
+    else:
+        value = parse_rational(text)
+        assert value == expected and type(value) is F
+
+
+def test_parse_rational_skips_separator_whitespace_around_the_slash():
+    # str.isspace holds for \x1c-\x1f and str.strip already dropped them
+    # at the ends of the text; int() does not take them.
+    assert parse_rational("\x1c1\x1d/\x1e2\x1f") == F(1, 2)
+    with pytest.raises(InputFormatError, match="denominator must be positive$"):
+        parse_rational("0/\x1c0")
 
 
 def test_rejects_float_coefficients():

@@ -108,8 +108,22 @@ def test_zero_polynomial_rejected():
 
 
 def test_reality_test_rejects_non_int_coefficients():
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError, match="^coefficient 1 must be an int, got float$"):
         is_real_rooted([1, 0.5, 1])
+    with pytest.raises(InputFormatError, match="^coefficient 1 must be an int, got Fraction$"):
+        is_real_rooted([-1, F(1)])
+
+
+@pytest.mark.parametrize(
+    "coeffs, index",
+    [([True, True], 0), ([-1, 0, False], 2), ([2, True, 1], 1)],
+    ids=["all bools", "trailing bool", "middle bool"],
+)
+def test_reality_test_rejects_bool_coefficients(coeffs, index):
+    # isinstance(True, int) holds, so [True, True], read as x + 1, used to
+    # pass as real rooted; RootIntervals already rejects a bool carrier.
+    with pytest.raises(InputFormatError, match=f"^coefficient {index} must be an int, got bool$"):
+        is_real_rooted(coeffs)
 
 
 def test_count_examples():
@@ -699,6 +713,42 @@ def test_neg_signed_prem_is_positive_multiple_of_negated_remainder(pair):
     assert _intops.neg_signed_prem(f, g, k) == [c // k for c in r]
     with pytest.raises(InternalInconsistencyError):
         _intops.neg_signed_prem(f, g, 2 * k)
+
+
+def reference_eval_scaled(coeffs, num, den):
+    """den**d * p(num/den) in Fractions, d = deg p; 0 for the empty list."""
+    if not coeffs:
+        return 0
+    x = F(num, den)
+    value = sum(c * x ** i for i, c in enumerate(coeffs)) * den ** (len(coeffs) - 1)
+    assert value.denominator == 1
+    return value.numerator
+
+
+# den = 1 and 2**k take the shift loop; every other den the multiply loop.
+_dens = st.one_of(
+    st.integers(0, 200).map(lambda k: 2 ** k),
+    st.integers(1, 10 ** 6),
+    st.integers(1, 200).map(lambda k: 2 ** k + 1),
+    st.integers(2, 200).map(lambda k: 2 ** k - 1),
+    st.integers(1, 200).map(lambda k: 3 << k),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=9),
+    st.integers(-10 ** 70, 10 ** 70),
+    _dens,
+)
+@example([], -3, 1)
+@example([-7], -3, 2 ** 200)
+@example([5, 0, -1], -(2 ** 90) - 1, 2 ** 64)
+@example([1, 2, 3], -5, 6)
+def test_eval_scaled_matches_the_fraction_reference(coeffs, num, den):
+    value = _intops.eval_scaled(coeffs, num, den)
+    assert type(value) is int
+    assert value == reference_eval_scaled(coeffs, num, den)
 
 
 @settings(max_examples=100, deadline=None)
