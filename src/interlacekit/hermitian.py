@@ -144,11 +144,13 @@ def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
 class HermitianMatrix:
     """Immutable Hermitian matrix; the constructor rejects anything else.
 
-    ``_spectra`` is the Cauchy work every deletion shares, filled on
-    first use by ``_shared_work``; it is not part of the value.
+    ``_pass_memo``, the Faddeev-LeVerrier pass kept by ``_chars``, serves
+    ``char_poly``, ``bordered_identity``, ``eigen_intervals`` and
+    ``cauchy_check``; ``_spectrum_memo`` is A's spectrum, kept by
+    ``eigen_intervals``.  Both fill on first use and are not part of the value.
     """
 
-    __slots__ = ("n", "entries", "_spectra")
+    __slots__ = ("n", "entries", "_pass_memo", "_spectrum_memo")
 
     def __init__(self, entries):
         grid = _as_grid(entries)
@@ -167,7 +169,8 @@ class HermitianMatrix:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "_spectra", None)
+        object.__setattr__(self, "_pass_memo", None)
+        object.__setattr__(self, "_spectrum_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -350,24 +353,21 @@ def _scaled_pass(grid: Grid) -> tuple[int, _Parts, list[_Parts]]:
     return den, *_char_poly_gaussian_int(real_form)
 
 
-def _scaled_chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
-    """D, and the integer coefficients of char(DA) and of every char(DA_i)."""
-    den, full, subs = _scaled_pass(matrix.entries)
-    return den, _real_ints(full, den, "characteristic coefficient"), [
-        _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
-        for i, sub in enumerate(subs)
-    ]
+def _chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
+    """D, and the integer coefficients of char(DA) and of every char(DA_i).
 
-
-def _char_polys(
-    matrix: HermitianMatrix, deletions: Iterable[int]
-) -> tuple[Polynomial, tuple[Polynomial, ...]]:
-    """char(A) and char(A_i) for each listed deletion i, from one integer pass.
-
-    Only the listed deletions are turned into Fraction polynomials.
+    Their roots are those of char(A) and char(A_i) times D > 0, D the
+    common denominator of A's entries.  The pass runs once per matrix
+    object and is kept on it; an equal matrix built afresh runs it again.
     """
-    den, char, sub_chars = _scaled_chars(matrix)
-    return _unscaled(char, den), tuple(_unscaled(sub_chars[i], den) for i in deletions)
+    if matrix._pass_memo is None:
+        den, full, subs = _scaled_pass(matrix.entries)
+        chars = den, _real_ints(full, den, "characteristic coefficient"), [
+            _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
+            for i, sub in enumerate(subs)
+        ]
+        object.__setattr__(matrix, "_pass_memo", chars)
+    return matrix._pass_memo
 
 
 def det_exact(matrix) -> GaussianRational:
@@ -397,13 +397,17 @@ def char_poly(matrix: HermitianMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), exactly.
 
     It comes from the one integer Faddeev-LeVerrier pass, which also
-    yields every principal submatrix polynomial.  A plain grid is
-    accepted and checked by the HermitianMatrix constructor.
+    yields every principal submatrix polynomial and is kept on the
+    matrix object.  A plain grid is accepted and checked by the
+    HermitianMatrix constructor.
     """
-    return _char_polys(_as_hermitian(matrix), ())[0]
+    den, char, _ = _chars(_as_hermitian(matrix))
+    return _unscaled(char, den)
 
 
 def _check_deletion(n: int, k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputFormatError(f"deletion index must be an int, got {type(k).__name__}")
     if not 0 <= k < n:
         raise InputFormatError(
             f"deletion index {k} out of range for a {n}x{n} matrix"
@@ -466,7 +470,8 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     without its last row and column.  Expanding det(xI - A_alpha) along
     the last row splits off exactly the alpha term, so equality must be
     exact; any mismatch is reported, not rounded away.  char(A) and
-    char(B) come from one pass over A.
+    char(B) come from the pass kept on A, char(A_alpha) from one pass
+    over the shifted matrix.
     """
     matrix = _as_hermitian(matrix)
     alpha = as_rational(alpha)
@@ -477,8 +482,8 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     corner = shifted_rows[n - 1][n - 1]
     shifted_rows[n - 1][n - 1] = GaussianRational(corner.re + alpha, corner.im)
     lhs = char_poly(HermitianMatrix(shifted_rows))
-    full, (sub,) = _char_polys(matrix, (n - 1,))
-    rhs = full - alpha * sub
+    den, char, sub_chars = _chars(matrix)
+    rhs = _unscaled(char, den) - alpha * _unscaled(sub_chars[n - 1], den)
     return IdentityReport(
         n=n,
         alpha=alpha,
@@ -494,43 +499,26 @@ def eigen_intervals(matrix: HermitianMatrix) -> RootIntervals:
     A Hermitian matrix has exactly n real eigenvalues with multiplicity;
     that total is asserted on the certified count, so a shortfall raises
     instead of returning a silently wrong spectrum.  ``refine_to`` narrows
-    the intervals further.  The spectrum is part of the work every
-    ``cauchy_check`` on the same matrix object shares, so it is isolated
-    once per object.
+    the intervals further.  The spectrum comes from the pass kept on the
+    matrix object and is kept there too, so it is isolated once per
+    object, however many ``cauchy_check`` calls read it.
     """
-    return _shared_work(_as_hermitian(matrix))[0]
+    matrix = _as_hermitian(matrix)
+    if matrix._spectrum_memo is None:
+        den, char, _ = _chars(matrix)
+        object.__setattr__(matrix, "_spectrum_memo", _spectrum(char, den, matrix.n))
+    return matrix._spectrum_memo
 
 
-def _spectrum(poly: Polynomial, n: int) -> RootIntervals:
-    """Roots of a characteristic polynomial of an n-square Hermitian matrix."""
-    spectrum = refine_to(isolate_roots(poly), DEFAULT_WIDTH)
+def _spectrum(coeffs: list[int], den: int, n: int) -> RootIntervals:
+    """Roots of char(M) for an n-square Hermitian M, given char(DM) and D."""
+    spectrum = refine_to(isolate_roots(_unscaled(coeffs, den)), DEFAULT_WIDTH)
     if spectrum.total_multiplicity != n:
         raise InternalInconsistencyError(
             f"found {spectrum.total_multiplicity} eigenvalues for n = {n}",
             report=spectrum,
         )
     return spectrum
-
-
-def _shared_work(
-    matrix: HermitianMatrix,
-) -> tuple[RootIntervals, int, list[int], list[list[int]]]:
-    """What all deletions of A share: A's spectrum, D, char(DA), every char(DA_k).
-
-    D is the least common denominator of A's entries, and the integer
-    coefficients of char(DA) and char(DA_k) come straight from the one
-    Faddeev-LeVerrier pass; their roots are those of char(A) and
-    char(A_k) times D > 0, so interlacing is the same.  No submatrix
-    spectrum is isolated here.  Worked out on the first call for a
-    matrix object and kept on it, so every later ``eigen_intervals`` or
-    ``cauchy_check`` call on that object reuses it.  An equal matrix
-    built afresh (say, parsed again from its file) works it out again.
-    """
-    if matrix._spectra is None:
-        den, char, sub_chars = _scaled_chars(matrix)
-        spectrum = _spectrum(_unscaled(char, den), matrix.n)
-        object.__setattr__(matrix, "_spectra", (spectrum, den, char, sub_chars))
-    return matrix._spectra
 
 
 @dataclass(frozen=True)
@@ -553,8 +541,8 @@ class CauchyReport:
 
     @cached_property
     def submatrix_spectrum(self) -> RootIntervals:
-        _, den, _, sub_chars = _shared_work(self._matrix)
-        return _spectrum(_unscaled(sub_chars[self.deleted], den), self.n - 1)
+        den, _, sub_chars = _chars(self._matrix)
+        return _spectrum(sub_chars[self.deleted], den, self.n - 1)
 
     @cached_property
     def interlace(self) -> InterlaceReport:
@@ -588,7 +576,8 @@ def cauchy_check(matrix: HermitianMatrix, k: int) -> CauchyReport:
     """
     matrix = _as_hermitian(matrix)
     _check_deletion(matrix.n, k)
-    spectrum, _, char, sub_chars = _shared_work(matrix)
+    spectrum = eigen_intervals(matrix)
+    _, char, sub_chars = _chars(matrix)
     interlaces, shared = _intops.interlace_index(char, sub_chars[k])
     verdict = (
         InterlaceVerdict.INTERLACES if interlaces else InterlaceVerdict.DOES_NOT_INTERLACE

@@ -136,9 +136,10 @@ class RootIntervals:
     part as ascending integer coefficients, primitive with a positive
     leading coefficient: the first entry of the Sturm chain.  Its sign
     changes certify the open intervals; refinement and root comparison
-    evaluate it and nothing else.  An interval end that is not an int or
-    a Fraction, a multiplicity or carrier coefficient that is not an int,
-    or a bool in any of them, raises InputFormatError naming its index.
+    evaluate it and nothing else.  An interval that is not a pair, an
+    interval end that is not an int or a Fraction, a multiplicity or
+    carrier coefficient that is not an int, or a bool in any of them,
+    raises InputFormatError naming its index.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -161,7 +162,12 @@ class RootIntervals:
                     f"carrier coefficient {i} must be an int, got {type(c).__name__}"
                 )
         prev_lo = prev_hi = None
-        for i, (lo, hi) in enumerate(self.intervals):
+        for i, interval in enumerate(self.intervals):
+            if not isinstance(interval, (tuple, list)) or len(interval) != 2:
+                raise InputFormatError(
+                    f"interval {i} must be a pair (lo, hi), got {interval!r}"
+                )
+            lo, hi = interval
             for end in (lo, hi):
                 if isinstance(end, bool) or not isinstance(end, (int, Fraction)):
                     raise InputFormatError(

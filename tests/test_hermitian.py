@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction as F
@@ -624,11 +625,11 @@ def one_pass_cases():
 def test_one_pass_yields_every_submatrix_char_poly():
     sizes = set()
     for m in one_pass_cases():
-        full, subs = hermitian._char_polys(m, range(m.n))
-        assert full == char_poly(m)
+        den, full, subs = hermitian._chars(m)
+        assert hermitian._unscaled(full, den) == char_poly(m)
         assert len(subs) == m.n
         for k, sub in enumerate(subs):
-            assert sub == char_poly(principal_submatrix(m, k))
+            assert hermitian._unscaled(sub, den) == char_poly(principal_submatrix(m, k))
         sizes.add(m.n)
     assert sizes >= set(range(2, 9))
 
@@ -677,9 +678,11 @@ def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     assert counts == {
         "_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1, "principal_submatrix": 0
     }
+    # char(A) and char(B) are read from the kept pass; only the shifted
+    # matrix takes a pass of its own.
     counts["_char_poly_gaussian_int"] = 0
     assert bordered_identity(m, F(5, 2)).exact_match
-    assert counts["_char_poly_gaussian_int"] == 2
+    assert counts["_char_poly_gaussian_int"] == 1
     assert counts["principal_submatrix"] == 0
 
 
@@ -741,6 +744,38 @@ def test_shared_cauchy_work_matches_fresh_calls():
     assert shared == fresh
 
 
+ENTRY_POINTS = {
+    "char_poly": char_poly,
+    "bordered_identity": lambda m: bordered_identity(m, F(5, 2)),
+    "eigen_intervals": eigen_intervals,
+    "cauchy_check": lambda m: [cauchy_check(m, k).verdict for k in range(m.n)],
+    "as_dict": lambda m: cauchy_check(m, 1).as_dict(),
+}
+
+
+@pytest.mark.parametrize(
+    "matrix, isolations",
+    [
+        # A's spectrum, and the submatrix spectrum that as_dict reads.
+        (rational_hermitian(trial_rng(78, 0), 4), 2),
+        # Every deletion of diag(2, 2, 5) shares the root 2, so each is
+        # also walked over both spectra: three more submatrix spectra.
+        (HermitianMatrix.diagonal([2, 2, 5]), 5),
+    ],
+    ids=["rational", "repeated"],
+)
+def test_every_entry_point_reads_one_pass_in_any_order(monkeypatch, matrix, isolations):
+    fresh = {name: call(HermitianMatrix(matrix.entries)) for name, call in ENTRY_POINTS.items()}
+    counts = count_calls(monkeypatch, "_char_poly_gaussian_int", "isolate_roots")
+    for order in itertools.permutations(ENTRY_POINTS):
+        m = HermitianMatrix(matrix.entries)
+        counts.update(dict.fromkeys(counts, 0))
+        for name in order:
+            assert ENTRY_POINTS[name](m) == fresh[name], (order, name)
+        # One pass for m and one for the matrix bordered_identity shifts.
+        assert counts == {"_char_poly_gaussian_int": 2, "isolate_roots": isolations}, order
+
+
 def test_cauchy_check_argument_errors_keep_their_text():
     m = HermitianMatrix.diagonal([1, 2, 3])
     with pytest.raises(InputFormatError, match=r"^deletion index 3 out of range for a 3x3 matrix$"):
@@ -753,6 +788,26 @@ def test_cauchy_check_argument_errors_keep_their_text():
         cauchy_check(m, 0, F(1, 8))
     with pytest.raises(TypeError):
         eigen_intervals(m, F(1, 8))
+
+
+@pytest.mark.parametrize(
+    "k, kind",
+    [(True, "bool"), (False, "bool"), (1.0, "float"), (F(1), "Fraction"),
+     ("1", "str"), (None, "NoneType")],
+)
+@pytest.mark.parametrize(
+    "call",
+    [cauchy_check, principal_submatrix],
+    ids=["cauchy_check", "principal_submatrix"],
+)
+def test_a_deletion_index_that_is_not_an_int_is_rejected(call, k, kind):
+    # True used to delete row 1 and serialize as "deleted": true, 1.0
+    # failed with a bare TypeError from list indexing, and
+    # principal_submatrix(m, 1.0) returned a submatrix.
+    m = HermitianMatrix.diagonal([1, 2, 3])
+    message = f"^deletion index must be an int, got {kind}$"
+    with pytest.raises(InputFormatError, match=message):
+        call(m, k)
 
 
 PLAIN_GRID = [[GR(2), GR(1, 1)], [GR(1, -1), GR(3)]]
@@ -779,17 +834,19 @@ def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
     m = random_hermitian(SplitMix64(73), 3, 10)
     other = random_hermitian(SplitMix64(74), 3, 10)
     cauchy_check(m, 0)
-    memo = m._spectra
-    assert memo is not None
-    counts = count_calls(monkeypatch, "_char_polys", "isolate_roots")
+    memo = m._pass_memo, m._spectrum_memo
+    assert None not in memo
+    counts = count_calls(monkeypatch, "_chars", "isolate_roots")
     one = HermitianMatrix([[GR(5)]])
     bad = [(one, 0), (other, -1), (other, 3), (m, 3), (m, -1)]
+    bad += [(other, 1.0), (other, True), (other, "1"), (m, F(1)), (m, None)]
     for matrix, k in bad:
         with pytest.raises(InputFormatError):
             cauchy_check(matrix, k)
-    assert counts == {"_char_polys": 0, "isolate_roots": 0}
-    assert one._spectra is None and other._spectra is None
-    assert m._spectra is memo
+    assert counts == {"_chars": 0, "isolate_roots": 0}
+    for fresh in (one, other):
+        assert fresh._pass_memo is None and fresh._spectrum_memo is None
+    assert m._pass_memo is memo[0] and m._spectrum_memo is memo[1]
 
 
 def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():

@@ -294,13 +294,23 @@ def test_multiplicities_must_be_ints(make, index, kind):
          "carrier coefficient 1 must be an int, got Fraction"),
         (lambda: RootIntervals(((0, 1),), (1,), (-1, True)),
          "carrier coefficient 1 must be an int, got bool"),
+        (lambda: RootIntervals(((1,),), (1,), (-1, 2)),
+         re.escape("interval 0 must be a pair (lo, hi), got (1,)")),
+        (lambda: RootIntervals((5,), (1,), (-1, 2)),
+         re.escape("interval 0 must be a pair (lo, hi), got 5")),
+        (lambda: RootIntervals(((0, 1), (2, 3, 4)), (1, 1), (-1, 2)),
+         re.escape("interval 1 must be a pair (lo, hi), got (2, 3, 4)")),
+        (lambda: RootIntervals(((0, 1), None), (1, 1), (-1, 2)),
+         re.escape("interval 1 must be a pair (lo, hi), got None")),
     ],
     ids=["float end", "second interval", "bool ends", "float carrier",
-         "Fraction carrier", "bool carrier"],
+         "Fraction carrier", "bool carrier", "one end", "bare int", "three ends",
+         "None interval"],
 )
 def test_interval_ends_and_carrier_are_exact(make, message):
     # A float end used to reach refine_to and fail there with an
-    # AttributeError on .numerator, naming no field.
+    # AttributeError on .numerator, naming no field; an interval that is
+    # not a pair failed its unpacking with a bare ValueError or TypeError.
     with pytest.raises(InputFormatError, match=f"^{message}$"):
         make()
 
