@@ -21,7 +21,7 @@ from . import _intops
 from .errors import InputFormatError, InternalInconsistencyError
 from .interlace import InterlaceReport, InterlaceVerdict, interlaces_by_roots
 from .polynomials import Polynomial
-from .rationals import Rational, as_rational, format_rational, parse_rational
+from .rationals import Rational, as_int, as_rational, format_rational, parse_rational
 from .realroots import DEFAULT_WIDTH, RootIntervals, isolate_roots, refine_to
 from .rng import SplitMix64
 
@@ -35,7 +35,7 @@ class GaussianRational:
 
     @classmethod
     def of(cls, re: int | Fraction, im: int | Fraction = 0) -> "GaussianRational":
-        return cls(as_rational(re), as_rational(im))
+        return cls(as_rational(re, "re"), as_rational(im, "im"))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -88,7 +88,7 @@ def _coerce(value) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(as_rational(value), Fraction(0))
+        return GaussianRational(as_rational(value, "operand"), Fraction(0))
     return None
 
 
@@ -101,19 +101,14 @@ _Parts = list[tuple[int, int]]  # (re, im) of Gaussian integers
 def _as_grid(entries) -> Grid:
     if isinstance(entries, HermitianMatrix):
         return entries.entries
-    rows = []
-    for row in entries:
-        cells = []
-        for cell in row:
-            coerced = _coerce(cell)
-            if coerced is None:
-                raise InputFormatError(
-                    f"matrix entry must be GaussianRational, int, or Fraction,"
-                    f" got {type(cell).__name__}"
-                )
-            cells.append(coerced)
-        rows.append(tuple(cells))
-    return tuple(rows)
+    return tuple([
+        tuple([
+            cell if isinstance(cell, GaussianRational)
+            else GaussianRational(as_rational(cell, "matrix entry"), Fraction(0))
+            for cell in row
+        ])
+        for row in entries
+    ])
 
 
 def _check_square(grid: Grid) -> int:
@@ -191,7 +186,7 @@ class HermitianMatrix:
 
     @classmethod
     def diagonal(cls, values: Iterable[int | Fraction]) -> "HermitianMatrix":
-        vals = [as_rational(v) for v in values]
+        vals = [as_rational(v, "diagonal value") for v in values]
         n = len(vals)
         return cls(
             [
@@ -215,8 +210,8 @@ class HermitianMatrix:
             raise InputFormatError("matrix document must be an object")
         if "n" not in obj or "entries" not in obj:
             raise InputFormatError("matrix document needs keys 'n' and 'entries'")
-        n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        n = as_int(obj["n"], "field 'n'")
+        if n < 1:
             raise InputFormatError(f"field 'n' must be a positive integer, got {n!r}")
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != n:
@@ -359,14 +354,21 @@ def _chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
     Their roots are those of char(A) and char(A_i) times D > 0, D the
     common denominator of A's entries.  The pass runs once per matrix
     object and is kept on it; an equal matrix built afresh runs it again.
+    The char(DA_i), the diagonal of adj(xI - DA), must sum to its trace
+    char(DA)' (Jacobi's formula): a check Cayley-Hamilton does not make.
     """
     if matrix._pass_memo is None:
         den, full, subs = _scaled_pass(matrix.entries)
-        chars = den, _real_ints(full, den, "characteristic coefficient"), [
+        full = _real_ints(full, den, "characteristic coefficient")
+        subs = [
             _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
             for i, sub in enumerate(subs)
         ]
-        object.__setattr__(matrix, "_pass_memo", chars)
+        if [sum(c) for c in zip(*subs)] != _intops.derivative(full):
+            raise InternalInconsistencyError(
+                "Faddeev-LeVerrier broke Jacobi's formula: sum_i char(A_i) != char(A)'"
+            )
+        object.__setattr__(matrix, "_pass_memo", (den, full, subs))
     return matrix._pass_memo
 
 
@@ -406,9 +408,7 @@ def char_poly(matrix: HermitianMatrix) -> Polynomial:
 
 
 def _check_deletion(n: int, k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise InputFormatError(f"deletion index must be an int, got {type(k).__name__}")
-    if not 0 <= k < n:
+    if not 0 <= as_int(k, "deletion index") < n:
         raise InputFormatError(
             f"deletion index {k} out of range for a {n}x{n} matrix"
         )
@@ -474,7 +474,7 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     over the shifted matrix.
     """
     matrix = _as_hermitian(matrix)
-    alpha = as_rational(alpha)
+    alpha = as_rational(alpha, "alpha")
     n = matrix.n
     if n < 2:
         raise InputFormatError("bordered identity needs n >= 2")
@@ -610,9 +610,9 @@ def random_hermitian(rng: SplitMix64, n: int, bound: int) -> HermitianMatrix:
     and then the imaginary part.  The lower triangle mirrors by
     conjugation, so the result is Hermitian by construction.
     """
-    if n < 1:
+    if as_int(n, "n") < 1:
         raise InputFormatError(f"matrix size must be positive, got {n}")
-    if bound < 0:
+    if as_int(bound, "bound") < 0:
         raise InputFormatError(f"entry bound must be nonnegative, got {bound}")
     rows = [[GR_ZERO] * n for _ in range(n)]
     for i in range(n):

@@ -21,7 +21,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [as_rational(c) for c in coeffs]
+        cs = [as_rational(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
@@ -52,7 +52,7 @@ class Polynomial:
         """Monic polynomial with the given roots, repeats giving multiplicity."""
         coeffs = [Fraction(1)]
         for root in roots:
-            r = as_rational(root)
+            r = as_rational(root, "root")
             coeffs = [Fraction(0)] + coeffs
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= r * coeffs[i + 1]
@@ -60,11 +60,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int | Fraction) -> "Polynomial":
-        return cls([as_rational(value)])
+        return cls([as_rational(value, "constant")])
 
     def evaluate(self, point: int | Fraction) -> Fraction:
         """Value at a rational point, by Horner's rule."""
-        t = as_rational(point)
+        t = as_rational(point, "point")
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * t + c
@@ -118,7 +118,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial([as_rational(other) * c for c in self._coeffs])
+            return Polynomial([as_rational(other, "factor") * c for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self._coeffs or not other._coeffs:
@@ -160,7 +160,7 @@ class Polynomial:
 
 def lin_comb(f: Polynomial, g: Polynomial, alpha: int | Fraction) -> Polynomial:
     """f + alpha*g."""
-    return f + as_rational(alpha) * g
+    return f + as_rational(alpha, "alpha") * g
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

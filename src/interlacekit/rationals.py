@@ -71,12 +71,19 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def as_rational(value: int | Fraction) -> Fraction:
-    """Coerce an int or Fraction; reject floats and everything else."""
+def as_rational(value: int | Fraction, what: str) -> Fraction:
+    """Coerce an int or Fraction; reject bools, floats and all else, naming ``what``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise InputFormatError(
-        f"expected int or Fraction, got {type(value).__name__}"
+        f"{what} must be an int or a Fraction, got {type(value).__name__}"
     )
+
+
+def as_int(value: int, what: str) -> int:
+    """The value if it is an int; reject bools and all else, naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{what} must be an int, got {type(value).__name__}")
+    return value

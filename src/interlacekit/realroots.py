@@ -24,7 +24,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .polynomials import Polynomial
-from .rationals import Rational, as_rational, format_rational
+from .rationals import Rational, as_int, as_rational, format_rational
 
 DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 
@@ -76,8 +76,8 @@ def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
     own endpoints should nudge and retry.  Each endpoint's chain is
     evaluated once, and only past its first entry when that is no root.
     """
-    lo = as_rational(lo)
-    hi = as_rational(hi)
+    lo = as_rational(lo, "lo")
+    hi = as_rational(hi, "hi")
     if lo >= hi:
         raise ValueError(f"empty interval: need lo < hi, got [{lo}, {hi}]")
     if chain.degree == 0:
@@ -112,11 +112,9 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
         ints = _intops.from_fraction_coeffs(p.coeffs)
     else:
         ints = list(p)
-        for i, c in enumerate(ints):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InputFormatError(
-                    f"coefficient {i} must be an int, got {type(c).__name__}"
-                )
+        if not all(type(c) is int for c in ints):  # one sweep for the common case
+            for i, c in enumerate(ints):
+                as_int(c, f"coefficient {i}")
         ints = _intops.primitive(_intops.trim(ints))
     if not ints:
         raise ZeroPolynomialError("is_real_rooted is undefined for zero")
@@ -136,10 +134,10 @@ class RootIntervals:
     part as ascending integer coefficients, primitive with a positive
     leading coefficient: the first entry of the Sturm chain.  Its sign
     changes certify the open intervals; refinement and root comparison
-    evaluate it and nothing else.  An interval that is not a pair, an
-    interval end that is not an int or a Fraction, a multiplicity or
-    carrier coefficient that is not an int, or a bool in any of them,
-    raises InputFormatError naming its index.
+    evaluate it and nothing else.  Malformed fields, entries of the wrong
+    type (a bool included), a count mismatch, a multiplicity below 1 and
+    inverted, overlapping or repeated intervals raise InputFormatError
+    naming the field or the index.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -147,39 +145,33 @@ class RootIntervals:
     carrier: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("intervals", "multiplicities", "carrier"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise InputFormatError(f"{name} must be a tuple or a list")
         if len(self.intervals) != len(self.multiplicities):
-            raise ValueError("one multiplicity per interval required")
+            raise InputFormatError("multiplicities must hold one entry per interval")
         for i, m in enumerate(self.multiplicities):
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise InputFormatError(
-                    f"multiplicity {i} must be an int, got {type(m).__name__}"
-                )
-        if any(m < 1 for m in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
+            if as_int(m, f"multiplicity {i}") < 1:
+                raise InputFormatError(f"multiplicity {i} must be positive, got {m}")
         for i, c in enumerate(self.carrier):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InputFormatError(
-                    f"carrier coefficient {i} must be an int, got {type(c).__name__}"
-                )
+            as_int(c, f"carrier coefficient {i}")
         prev_lo = prev_hi = None
         for i, interval in enumerate(self.intervals):
             if not isinstance(interval, (tuple, list)) or len(interval) != 2:
                 raise InputFormatError(
                     f"interval {i} must be a pair (lo, hi), got {interval!r}"
                 )
+            for end in interval:
+                as_rational(end, f"interval {i} end")
             lo, hi = interval
-            for end in (lo, hi):
-                if isinstance(end, bool) or not isinstance(end, (int, Fraction)):
-                    raise InputFormatError(
-                        f"interval {i} end must be an int or a Fraction,"
-                        f" got {type(end).__name__}"
-                    )
             if lo > hi:
-                raise ValueError(f"inverted interval [{lo}, {hi}]")
+                raise InputFormatError(f"interval {i} is inverted: [{lo}, {hi}]")
             if prev_hi is not None and lo < prev_hi:
-                raise ValueError("intervals must be sorted and non-overlapping")
+                raise InputFormatError(
+                    f"interval {i} overlaps or precedes interval {i - 1}"
+                )
             if prev_lo == prev_hi == lo == hi:
-                raise ValueError(f"point interval [{lo}, {hi}] appears twice")
+                raise InputFormatError(f"interval {i} repeats the point [{lo}, {hi}]")
             prev_lo, prev_hi = lo, hi
 
     def __len__(self) -> int:
@@ -196,7 +188,7 @@ class RootIntervals:
         multiplicities: Sequence[int] | None = None,
     ) -> "RootIntervals":
         """Exactly known rational roots as degenerate point intervals."""
-        rs = [as_rational(r) for r in roots]
+        rs = [as_rational(r, "root") for r in roots]
         if multiplicities is None:
             multiplicities = [1] * len(rs)
         carrier = _intops.from_fraction_coeffs(Polynomial.from_roots(rs).coeffs)
@@ -419,7 +411,7 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     ends raises ``ValueError``, even one already narrow enough, and so
     does a point interval where the carrier does not vanish.
     """
-    width = as_rational(width)
+    width = as_rational(width, "width")
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     p0 = roots.carrier

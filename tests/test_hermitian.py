@@ -259,6 +259,30 @@ def test_cayley_hamilton_check_catches_a_corrupted_product(monkeypatch, row, col
     assert len(calls) == m.n
 
 
+@pytest.mark.parametrize("sub, coeff", [(0, 0), (2, 1), (3, 3)])
+def test_jacobi_check_catches_a_corrupted_submatrix_polynomial(monkeypatch, sub, coeff):
+    """The submatrix polynomials must sum to char(A)'; Cayley-Hamilton misses a slip.
+
+    The slip is one unit on the real part of one coefficient of one
+    char(DA_i), after the pass has run its own checks; coefficient 3 is
+    the leading one of a 4x4 matrix's submatrices.
+    """
+    m = random_hermitian(SplitMix64(5), 4, 10)
+    original = hermitian._char_poly_gaussian_int
+
+    def corrupted(real_form):
+        full, subs = original(real_form)
+        re, im = subs[sub][coeff]
+        subs[sub][coeff] = (re + 1, im)
+        return full, subs
+
+    monkeypatch.setattr(hermitian, "_char_poly_gaussian_int", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="Jacobi"):
+        char_poly(m)
+    with pytest.raises(InternalInconsistencyError, match="Jacobi"):
+        cauchy_check(HermitianMatrix(m.entries), sub)
+
+
 def reference_fl(real_form, peaks=None):
     """Faddeev-LeVerrier on a real form with plain int entries, no packing.
 

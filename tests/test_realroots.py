@@ -315,6 +315,40 @@ def test_interval_ends_and_carrier_are_exact(make, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RootIntervals(5, (1,), (1,)), "intervals must be a tuple or a list"),
+        (lambda: RootIntervals(((0, 1),), 1, (-1, 2)),
+         "multiplicities must be a tuple or a list"),
+        (lambda: RootIntervals(((0, 1),), (1,), 7), "carrier must be a tuple or a list"),
+        (lambda: RootIntervals(((0, 1),), (1, 1), (-1, 2)),
+         "multiplicities must hold one entry per interval"),
+        (lambda: RootIntervals(((0, 1), (2, 2)), (1, 0), (2, -5, 2)),
+         "multiplicity 1 must be positive, got 0"),
+        (lambda: RootIntervals(((0, 1),), (-2,), (-1, 2)),
+         "multiplicity 0 must be positive, got -2"),
+        (lambda: RootIntervals(((1, 0),), (1,), (-1, 2)),
+         re.escape("interval 0 is inverted: [1, 0]")),
+        (lambda: RootIntervals(((0, 2), (1, 3)), (1, 1), (2, -5, 2)),
+         "interval 1 overlaps or precedes interval 0"),
+        (lambda: RootIntervals(((2, 3), (0, 1)), (1, 1), (2, -5, 2)),
+         "interval 1 overlaps or precedes interval 0"),
+        (lambda: RootIntervals(((1, 1), (1, 1)), (1, 1), (-1, 1)),
+         re.escape("interval 1 repeats the point [1, 1]")),
+    ],
+    ids=["intervals not a sequence", "multiplicities not a sequence",
+         "carrier not a sequence", "count mismatch", "zero multiplicity",
+         "negative multiplicity", "inverted", "overlapping", "out of order",
+         "repeated point"],
+)
+def test_malformed_root_intervals_name_the_field(make, message):
+    # An int field used to fail in len() with a bare TypeError, and the
+    # structural checks raised a plain ValueError naming no index.
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        make()
+
+
 def test_int_interval_ends_are_accepted():
     roots = RootIntervals(((0, 1), (2, 2)), (1, 1), (2, -5, 2))
     assert refine_to(roots, F(1, 8)).intervals == ((F(1, 2), F(1, 2)), (F(2), F(2)))
