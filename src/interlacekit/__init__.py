@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegreeMismatchError,
-    EndpointRootError,
     InputFormatError,
     InterlaceKitError,
     InternalInconsistencyError,
@@ -21,7 +20,6 @@ from .errors import (
 from .rationals import Rational, format_rational, parse_rational
 from .polynomials import (
     Polynomial,
-    lin_comb,
     poly_from_strings,
     poly_gcd,
     poly_to_strings,
@@ -31,8 +29,6 @@ from .realroots import (
     DEFAULT_WIDTH,
     RootIntervals,
     SturmChain,
-    build_sturm,
-    count_roots_in,
     is_real_rooted,
     isolate_roots,
     refine_to,
@@ -58,7 +54,6 @@ from .hermitian import (
     bordered_identity,
     cauchy_check,
     char_poly,
-    det_exact,
     eigen_intervals,
     principal_submatrix,
     random_hermitian,
@@ -72,7 +67,6 @@ __all__ = [
     "CrosscheckReport",
     "DEFAULT_WIDTH",
     "DegreeMismatchError",
-    "EndpointRootError",
     "GaussianRational",
     "HermitianMatrix",
     "IdentityReport",
@@ -89,12 +83,9 @@ __all__ = [
     "SturmChain",
     "ZeroPolynomialError",
     "bordered_identity",
-    "build_sturm",
     "cauchy_check",
     "char_poly",
-    "count_roots_in",
     "default_alphas",
-    "det_exact",
     "eigen_intervals",
     "format_rational",
     "hko_crosscheck",
@@ -103,7 +94,6 @@ __all__ = [
     "interlaces_exact",
     "is_real_rooted",
     "isolate_roots",
-    "lin_comb",
     "parse_rational",
     "pencil_scan",
     "poly_from_strings",

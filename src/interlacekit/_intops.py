@@ -304,7 +304,7 @@ def variations_at(chain: Sequence[IntPoly], num: int, den: int) -> int | None:
     None when num/den is a root of chain[0], where the count is not
     Sturm's; the rest of the chain is evaluated only otherwise.  Only
     brackets that may hold several roots need this count: the split
-    points of isolation and the ends given to ``count_roots_in``.
+    points of isolation.
     """
     first = eval_sign(chain[0], num, den)
     if first == 0:

@@ -17,15 +17,6 @@ class DegreeMismatchError(InterlaceKitError, ValueError):
     """A polynomial pair does not satisfy deg f = deg g + 1."""
 
 
-class EndpointRootError(InterlaceKitError, ValueError):
-    """A root-counting query endpoint is itself a root.
-
-    Sturm counts on (lo, hi] are only meaningful when the polynomial is
-    nonzero at both endpoints.  Callers should nudge the endpoint and
-    retry rather than silently accepting an off-by-one count.
-    """
-
-
 class InternalInconsistencyError(InterlaceKitError, RuntimeError):
     """Two routes that must agree produced different answers.
 

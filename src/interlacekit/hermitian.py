@@ -1,11 +1,11 @@
 """Exact Hermitian matrix algebra over the Gaussian rationals.
 
 Entries are complex numbers with rational real and imaginary parts, so
-determinants and characteristic polynomials come out exact.  The two
-headline operations are bordered_identity, which checks a determinant
-linearity identity coefficient by coefficient, and cauchy_check, which
-certifies that the eigenvalues of a principal submatrix interlace those
-of the full matrix.
+characteristic polynomials come out exact.  The two headline
+operations are bordered_identity, which checks a determinant linearity
+identity coefficient by coefficient, and cauchy_check, which certifies
+that the eigenvalues of a principal submatrix interlace those of the
+full matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from . import _intops
 from .errors import InputFormatError, InternalInconsistencyError
 from .interlace import InterlaceReport, InterlaceVerdict, interlaces_by_roots
 from .polynomials import Polynomial
-from .rationals import Rational, as_int, as_rational, format_rational, parse_rational
+from .rationals import (
+    Rational, as_int, as_list, as_rational, format_rational, parse_rational
+)
 from .realroots import DEFAULT_WIDTH, RootIntervals, isolate_roots, refine_to
 from .rng import SplitMix64
 
@@ -105,9 +107,9 @@ def _as_grid(entries) -> Grid:
         tuple([
             cell if isinstance(cell, GaussianRational)
             else GaussianRational(as_rational(cell, "matrix entry"), Fraction(0))
-            for cell in row
+            for cell in as_list(row, f"matrix row {i}")
         ])
-        for row in entries
+        for i, row in enumerate(as_list(entries, "matrix"))
     ])
 
 
@@ -186,7 +188,8 @@ class HermitianMatrix:
 
     @classmethod
     def diagonal(cls, values: Iterable[int | Fraction]) -> "HermitianMatrix":
-        vals = [as_rational(v, "diagonal value") for v in values]
+        vals = as_list(values, "diagonal values")
+        vals = [as_rational(v, "diagonal value") for v in vals]
         n = len(vals)
         return cls(
             [
@@ -370,22 +373,6 @@ def _chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
             )
         object.__setattr__(matrix, "_pass_memo", (den, full, subs))
     return matrix._pass_memo
-
-
-def det_exact(matrix) -> GaussianRational:
-    """Exact determinant: (-1)**n times the constant term of det(xI - A).
-
-    The constant term c_0 / D**n comes from the same integer pass as
-    every characteristic polynomial.  That pass divides exactly for any
-    Gaussian integer matrix, so a HermitianMatrix or any square grid of
-    entries is accepted; hermitian symmetry is not required.
-    """
-    grid = _as_grid(matrix)
-    n = _check_square(grid)
-    den, full, _ = _scaled_pass(grid)
-    re, im = full[0]
-    scale = (-den) ** n
-    return GaussianRational(Fraction(re, scale), Fraction(im, scale))
 
 
 def _as_hermitian(matrix) -> HermitianMatrix:

@@ -26,7 +26,7 @@ from typing import Sequence
 from . import _intops
 from .errors import DegreeMismatchError, InputFormatError, ZeroPolynomialError
 from .polynomials import Polynomial
-from .rationals import as_int, as_rational, format_rational
+from .rationals import as_int, as_list, as_rational, format_rational
 from .realroots import RootIntervals, _refine, is_real_rooted, isolate_roots
 from .rng import SplitMix64
 
@@ -347,7 +347,8 @@ def pencil_scan(
     if alphas is None:
         grid = default_alphas()
     else:
-        grid = list(dict.fromkeys(as_rational(a, "alpha") for a in alphas))
+        grid = as_list(alphas, "alphas")
+        grid = list(dict.fromkeys(as_rational(a, "alpha") for a in grid))
     # F = cF*f and G = cG*g with cF, cG > 0, so scale = cF/cG > 0.  For
     # alpha = an/ad, a = an*sn and b = ad*sd with b > 0 (ad, sd > 0) give
     # b*F + a*G = b*cF*(f + alpha*g), a positive multiple with the same

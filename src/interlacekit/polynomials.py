@@ -14,14 +14,14 @@ from typing import Iterable, Sequence
 
 from . import _intops
 from .errors import InputFormatError, ZeroPolynomialError
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_list, as_rational, format_rational, parse_rational
 
 
 class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [as_rational(c, "coefficient") for c in coeffs]
+        cs = [as_rational(c, "coefficient") for c in as_list(coeffs, "coefficients")]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
@@ -51,7 +51,7 @@ class Polynomial:
     def from_roots(cls, roots: Iterable[int | Fraction]) -> "Polynomial":
         """Monic polynomial with the given roots, repeats giving multiplicity."""
         coeffs = [Fraction(1)]
-        for root in roots:
+        for root in as_list(roots, "roots"):
             r = as_rational(root, "root")
             coeffs = [Fraction(0)] + coeffs
             for i in range(len(coeffs) - 1):
@@ -156,11 +156,6 @@ class Polynomial:
             else:
                 terms.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(terms)
-
-
-def lin_comb(f: Polynomial, g: Polynomial, alpha: int | Fraction) -> Polynomial:
-    """f + alpha*g."""
-    return f + as_rational(alpha, "alpha") * g
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

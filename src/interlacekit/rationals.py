@@ -87,3 +87,14 @@ def as_int(value: int, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(f"{what} must be an int, got {type(value).__name__}")
     return value
+
+
+def as_list(value, what: str) -> list:
+    """The items of an iterable as a new list; reject all else, naming ``what``."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InputFormatError(
+            f"{what} must be iterable, got {type(value).__name__}"
+        ) from None
+    return list(items)

@@ -1,11 +1,11 @@
-"""Certified real root counting, isolation, and refinement.
+"""Certified real root isolation and refinement.
 
-Counting and isolation rest on Sturm's theorem: for a squarefree p and
-points lo < hi with p(lo), p(hi) nonzero, the number of roots in
-(lo, hi] equals V(lo) - V(hi), where V counts sign variations down the
-Sturm chain.  An isolating interval holds one simple root of the
-carrier, so multiplicities and refinement need only the signs of one
-polynomial at its ends.  All queries run on integer polynomials, so
+Isolation rests on Sturm's theorem: for a squarefree p and points
+lo < hi with p(lo), p(hi) nonzero, the number of roots in (lo, hi]
+equals V(lo) - V(hi), where V counts sign variations down the Sturm
+chain.  An isolating interval holds one simple root of the carrier, so
+multiplicities and refinement need only the signs of one polynomial at
+its ends.  All queries run on integer polynomials, so
 the answers are exact, never estimates.
 """
 
@@ -18,13 +18,12 @@ from typing import Sequence
 
 from . import _intops
 from .errors import (
-    EndpointRootError,
     InputFormatError,
     InternalInconsistencyError,
     ZeroPolynomialError,
 )
 from .polynomials import Polynomial
-from .rationals import Rational, as_int, as_rational, format_rational
+from .rationals import Rational, as_int, as_list, as_rational, format_rational
 
 DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 
@@ -42,9 +41,9 @@ class SturmChain:
     textbook rational chain, so sign variations agree exactly.
 
     Sturm counts serve only where a bracket may hold several roots:
-    isolation and ``count_roots_in``.  Once roots are isolated, every
-    question about them (multiplicities, refinement, ties) is a sign
-    test of one polynomial at a bracket's ends.
+    isolation.  Once roots are isolated, every question about them
+    (multiplicities, refinement, ties) is a sign test of one polynomial
+    at a bracket's ends.
     """
 
     __slots__ = ("_int_chain", "_gcd")
@@ -64,42 +63,15 @@ class SturmChain:
         return len(self._int_chain[0]) - 1
 
 
-def build_sturm(p: Polynomial) -> SturmChain:
-    return SturmChain(p)
-
-
-def count_roots_in(chain: SturmChain, lo: Rational, hi: Rational) -> int:
-    """Number of distinct real roots in (lo, hi].
-
-    Raises EndpointRootError if either endpoint is a root, because the
-    variation difference is unreliable there.  Callers that pick their
-    own endpoints should nudge and retry.  Each endpoint's chain is
-    evaluated once, and only past its first entry when that is no root.
-    """
-    lo = as_rational(lo, "lo")
-    hi = as_rational(hi, "hi")
-    if lo >= hi:
-        raise ValueError(f"empty interval: need lo < hi, got [{lo}, {hi}]")
-    if chain.degree == 0:
-        return 0
-    variations = []
-    for end, name in ((lo, "lower"), (hi, "upper")):
-        v = _intops.variations_at(chain._int_chain, end.numerator, end.denominator)
-        if v is None:
-            raise EndpointRootError(f"{name} endpoint {end} is a root")
-        variations.append(v)
-    return variations[0] - variations[1]
-
-
 def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
     """True iff every complex root of p is real.
 
     p is a ``Polynomial`` or a sequence of Python ints, the ascending
     coefficients of an integer polynomial; trailing zeros are ignored,
-    and any other entry, a bool included, raises InputFormatError.  Both
-    routes hand ``_intops.is_real_rooted`` the primitive integer multiple
-    of p with a positive leading coefficient, so they agree on every
-    input.
+    and any other entry, a bool included, or a p that is not iterable
+    raises InputFormatError.  Both routes hand ``_intops.is_real_rooted``
+    the primitive integer multiple of p with a positive leading
+    coefficient, so they agree on every input.
 
     Multiplicities do not matter: p is real rooted exactly when its
     squarefree part of degree s has s distinct real roots.  The test runs
@@ -111,7 +83,7 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
     if isinstance(p, Polynomial):
         ints = _intops.from_fraction_coeffs(p.coeffs)
     else:
-        ints = list(p)
+        ints = as_list(p, "coefficients")
         if not all(type(c) is int for c in ints):  # one sweep for the common case
             for i, c in enumerate(ints):
                 as_int(c, f"coefficient {i}")
@@ -188,13 +160,13 @@ class RootIntervals:
         multiplicities: Sequence[int] | None = None,
     ) -> "RootIntervals":
         """Exactly known rational roots as degenerate point intervals."""
-        rs = [as_rational(r, "root") for r in roots]
+        rs = [as_rational(r, "root") for r in as_list(roots, "roots")]
         if multiplicities is None:
             multiplicities = [1] * len(rs)
         carrier = _intops.from_fraction_coeffs(Polynomial.from_roots(rs).coeffs)
         return cls(
             intervals=tuple((r, r) for r in rs),
-            multiplicities=tuple(multiplicities),
+            multiplicities=tuple(as_list(multiplicities, "multiplicities")),
             carrier=tuple(carrier),
         )
 
@@ -407,13 +379,14 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     strictly separated (hi of one is below lo of the next); intervals
     that still touch take one-step ``_refine`` halvings, one each per
     round, until they do.
-    An open interval without a strict sign change of the carrier at its
-    ends raises ``ValueError``, even one already narrow enough, and so
-    does a point interval where the carrier does not vanish.
+    A width that is not positive raises InputFormatError.  An open
+    interval without a strict sign change of the carrier at its ends
+    raises ``ValueError``, even one already narrow enough, and so does a
+    point interval where the carrier does not vanish.
     """
     width = as_rational(width, "width")
     if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+        raise InputFormatError(f"width must be positive, got {width}")
     p0 = roots.carrier
     refined = [
         _refine(p0, lo, hi, (ceil((hi - lo) / width) - 1).bit_length())

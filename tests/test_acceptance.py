@@ -20,18 +20,16 @@ from interlacekit import (
     InterlaceVerdict,
     Polynomial,
     bordered_identity,
-    build_sturm,
     cauchy_check,
     char_poly,
-    count_roots_in,
     default_alphas,
-    det_exact,
     interlaces_exact,
     is_real_rooted,
-    lin_comb,
+    isolate_roots,
     pencil_scan,
     principal_submatrix,
     random_hermitian,
+    refine_to,
     trial_rng,
 )
 
@@ -223,7 +221,8 @@ def test_criterion_6_independent_routes_agree():
         n = rng.int_between(1, 4)
         matrix = random_hermitian(rng, n, 9)
         grid = [list(row) for row in matrix.entries]
-        det_good += det_exact(matrix) == _det_cofactor(grid)
+        det = (-1) ** n * char_poly(matrix).coeffs[0]
+        det_good += GR(det) == _det_cofactor(grid)
 
     char_trials = 100
     char_good = 0
@@ -239,11 +238,14 @@ def test_criterion_6_independent_routes_agree():
         rng = trial_rng(608, trial)
         size = rng.int_between(1, 6)
         roots = [F(rng.int_between(-8, 8)) for _ in range(size)]
-        chain = build_sturm(Polynomial.from_roots(roots))
+        isolated = isolate_roots(Polynomial.from_roots(roots))
         lo = F(2 * rng.int_between(-9, 9) - 1, 2)
         hi = lo + rng.int_between(1, 10)
         expected = len({r for r in roots if lo < r <= hi})
-        count_good += count_roots_in(chain, lo, hi) == expected
+        # Integer roots in brackets at most 1/4 wide: no bracket reaches
+        # the half-integer ends, so a bracket counts when it lies inside.
+        brackets = refine_to(isolated, F(1, 4)).intervals
+        count_good += sum(lo < a and b <= hi for a, b in brackets) == expected
 
     report(
         det_good == det_trials
@@ -282,4 +284,4 @@ def test_pencil_witness_example_is_stable():
     f = Polynomial([0, -2, 1])
     g = Polynomial([-3, 1])
     assert pencil_scan(f, g).witness == F(-1)
-    assert not is_real_rooted(lin_comb(f, g, -1))
+    assert not is_real_rooted(f + -1 * g)

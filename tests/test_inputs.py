@@ -4,7 +4,9 @@ Every public argument that takes a number goes through
 ``rationals.as_rational`` or ``rationals.as_int``.  A bool, a float or a
 string raises InputFormatError, and the message starts with the
 argument's name; the same call with an int (or, where rationals are
-allowed, a Fraction) succeeds.
+allowed, a Fraction) succeeds.  Every argument that takes a collection
+goes through ``rationals.as_list``, so one that is not iterable raises
+InputFormatError naming the argument too.
 """
 
 import re
@@ -20,13 +22,10 @@ from interlacekit import (
     RootIntervals,
     SplitMix64,
     bordered_identity,
-    build_sturm,
     cauchy_check,
-    count_roots_in,
     default_alphas,
     hko_crosscheck,
     is_real_rooted,
-    lin_comb,
     pencil_scan,
     principal_submatrix,
     random_hermitian,
@@ -36,7 +35,6 @@ from interlacekit import (
 F_POLY = Polynomial([0, -2, 1])  # x^2 - 2x
 G_POLY = Polynomial([-3, 1])  # x - 3
 MATRIX = HermitianMatrix.diagonal([1, 2, 3])
-CHAIN = build_sturm(Polynomial([-1, 0, 1]))  # roots -1 and 1
 RATIONAL = (1, F(1, 2))
 INTEGER = (1,)
 
@@ -46,7 +44,6 @@ ARGUMENTS = {
     "Polynomial.constant": ("constant", Polynomial.constant, RATIONAL),
     "Polynomial.from_roots": ("root", lambda v: Polynomial.from_roots([v]), RATIONAL),
     "Polynomial.evaluate": ("point", F_POLY.evaluate, RATIONAL),
-    "lin_comb alpha": ("alpha", lambda v: lin_comb(F_POLY, G_POLY, v), RATIONAL),
     "GaussianRational.of re": ("re", GaussianRational.of, RATIONAL),
     "GaussianRational.of im": ("im", lambda v: GaussianRational.of(0, v), RATIONAL),
     "matrix entry": ("matrix entry", lambda v: HermitianMatrix([[v]]), RATIONAL),
@@ -65,8 +62,6 @@ ARGUMENTS = {
     "refine_to width": (
         "width", lambda v: refine_to(RootIntervals.from_roots([0]), v), RATIONAL
     ),
-    "count_roots_in lo": ("lo", lambda v: count_roots_in(CHAIN, v, 2), (0, F(1, 2))),
-    "count_roots_in hi": ("hi", lambda v: count_roots_in(CHAIN, -2, v), (2, F(3, 2))),
     "RootIntervals.from_roots": (
         "root", lambda v: RootIntervals.from_roots([v]), RATIONAL
     ),
@@ -132,3 +127,41 @@ def test_polynomial_arithmetic_refuses_bools():
         GaussianRational.of(1) * True
     with pytest.raises(TypeError):
         p * 1.0
+
+
+# (argument name as the message gives it, call taking the collection)
+CONTAINERS = {
+    "Polynomial": ("coefficients", Polynomial),
+    "Polynomial.from_roots": ("roots", Polynomial.from_roots),
+    "is_real_rooted": ("coefficients", is_real_rooted),
+    "RootIntervals.from_roots": ("roots", RootIntervals.from_roots),
+    "RootIntervals.from_roots multiplicities": (
+        "multiplicities", lambda v: RootIntervals.from_roots([1], v)
+    ),
+    "HermitianMatrix": ("matrix", HermitianMatrix),
+    "HermitianMatrix row": ("matrix row 0", lambda v: HermitianMatrix([v])),
+    "HermitianMatrix.diagonal": ("diagonal values", HermitianMatrix.diagonal),
+    "cauchy_check matrix": ("matrix", lambda v: cauchy_check(v, 0)),
+    "pencil_scan alphas": ("alphas", lambda v: pencil_scan(F_POLY, G_POLY, alphas=v)),
+    "hko_crosscheck alphas": (
+        "alphas", lambda v: hko_crosscheck(F_POLY, G_POLY, alphas=v)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [5, F(1, 2)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("argument", CONTAINERS)
+def test_a_collection_argument_refuses_a_non_iterable(argument, value):
+    name, call = CONTAINERS[argument]
+    message = f"^{re.escape(name)} must be iterable, got {type(value).__name__}$"
+    with pytest.raises(InputFormatError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "rows, index", [([1, 2], 0), ([[1, 0], 2], 1)], ids=["first", "second"]
+)
+def test_a_row_that_is_not_iterable_is_named_by_its_index(rows, index):
+    message = f"^matrix row {index} must be iterable, got int$"
+    with pytest.raises(InputFormatError, match=message):
+        HermitianMatrix(rows)

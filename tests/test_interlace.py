@@ -19,7 +19,6 @@ from interlacekit import (
     interlaces_exact,
     is_real_rooted,
     isolate_roots,
-    lin_comb,
     pencil_scan,
 )
 from test_realroots import reference_bisect
@@ -237,7 +236,7 @@ def test_pencil_scan_custom_alphas_deduplicated():
     st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
     st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=7), max_size=8),
 )
-def test_pencil_members_match_lin_comb(values_f, data, scale_f, scale_g, alphas):
+def test_pencil_members_match_f_plus_alpha_g(values_f, data, scale_f, scale_g, alphas):
     # Leading coefficients of either sign and rational scales: each
     # integer member must decide exactly as f + alpha*g does.
     size = len(values_f) - 1
@@ -245,7 +244,7 @@ def test_pencil_members_match_lin_comb(values_f, data, scale_f, scale_g, alphas)
     f = scale_f * Polynomial.from_roots(values_f)
     g = scale_g * Polynomial.from_roots(values_g)
     scanned = [pencil_scan(f, g, alphas=[a]).all_real for a in alphas]
-    assert scanned == [is_real_rooted(lin_comb(f, g, a)) for a in alphas]
+    assert scanned == [is_real_rooted(f + a * g) for a in alphas]
 
 
 def test_pencil_scan_rejects_degree_gap():
@@ -333,7 +332,7 @@ def test_forward_direction_of_the_pencil_claim(values, alpha_raw):
     f = Polynomial.from_roots(values[0::2])
     g = Polynomial.from_roots(values[1::2])
     alpha = F(alpha_raw - 50, 7)
-    assert is_real_rooted(lin_comb(f, g, alpha))
+    assert is_real_rooted(f + alpha * g)
 
 
 @st.composite

@@ -10,7 +10,6 @@ from interlacekit import (
     InputFormatError,
     Polynomial,
     ZeroPolynomialError,
-    lin_comb,
     parse_rational,
     poly_from_strings,
     poly_gcd,
@@ -93,10 +92,10 @@ def test_from_roots():
     assert doubled == Polynomial([4, -4, 1])
 
 
-def test_lin_comb_example():
+def test_pencil_member_example():
     f = Polynomial([0, -2, 1])    # x^2 - 2x
     g = Polynomial([-3, 1])       # x - 3
-    out = lin_comb(f, g, -1)
+    out = f + -1 * g
     assert out == Polynomial([3, -3, 1])
     for t in (0, 1, 2, F(7, 3)):
         assert out(t) == f(t) - g(t)
@@ -258,8 +257,8 @@ def test_multiplication_agrees_with_evaluation(f, g, t):
 
 
 @given(polys, polys, rationals, points)
-def test_lin_comb_pointwise(f, g, alpha, t):
-    assert lin_comb(f, g, alpha)(t) == f(t) + alpha * g(t)
+def test_pencil_member_pointwise(f, g, alpha, t):
+    assert (f + alpha * g)(t) == f(t) + alpha * g(t)
 
 
 @settings(max_examples=40)

@@ -1,6 +1,7 @@
 """The public surface: the exported names and the names the benchmark traces."""
 
 import importlib
+import pkgutil
 
 import interlacekit
 
@@ -10,7 +11,6 @@ EXPORTS = [
     "CrosscheckReport",
     "DEFAULT_WIDTH",
     "DegreeMismatchError",
-    "EndpointRootError",
     "GaussianRational",
     "HermitianMatrix",
     "IdentityReport",
@@ -28,12 +28,9 @@ EXPORTS = [
     "ZeroPolynomialError",
     "__version__",
     "bordered_identity",
-    "build_sturm",
     "cauchy_check",
     "char_poly",
-    "count_roots_in",
     "default_alphas",
-    "det_exact",
     "eigen_intervals",
     "format_rational",
     "hko_crosscheck",
@@ -42,7 +39,6 @@ EXPORTS = [
     "interlaces_exact",
     "is_real_rooted",
     "isolate_roots",
-    "lin_comb",
     "parse_rational",
     "pencil_scan",
     "poly_from_strings",
@@ -54,6 +50,9 @@ EXPORTS = [
     "squarefree_part",
     "trial_rng",
 ]
+
+# Names retired from the package; CHANGES.md gives each one's replacement.
+RETIRED = ["EndpointRootError", "build_sturm", "count_roots_in", "det_exact", "lin_comb"]
 
 # The (module, attribute) pairs of ``TARGETS`` in bench/tracing.py.  The
 # tracer looks each one up when it starts, so a removed name would
@@ -89,3 +88,15 @@ def test_every_traced_name_exists():
         assert hasattr(importlib.import_module(f"interlacekit.{module}"), attr), (
             f"interlacekit.{module}.{attr}"
         )
+
+
+def test_retired_names_are_defined_in_no_module():
+    # __main__ is left out: importing it runs the command line.
+    modules = [interlacekit] + [
+        importlib.import_module(f"interlacekit.{info.name}")
+        for info in pkgutil.iter_modules(interlacekit.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        for name in RETIRED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

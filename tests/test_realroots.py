@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 from interlacekit import _intops
 from interlacekit import (
-    EndpointRootError,
     InputFormatError,
     InterlaceVerdict,
     InternalInconsistencyError,
     Polynomial,
     RootIntervals,
     SplitMix64,
+    SturmChain,
     ZeroPolynomialError,
-    build_sturm,
     char_poly,
-    count_roots_in,
     interlaces_by_roots,
     interlaces_exact,
     is_real_rooted,
@@ -64,8 +62,21 @@ def rational_chain(sturm):
     return tuple(seq)
 
 
+def sturm_count(sturm, lo, hi):
+    """V(lo) - V(hi) by ``_intops.variations_at``: the distinct roots in (lo, hi].
+
+    None when lo or hi is a root of the chain's first entry, where the
+    difference is not Sturm's count.
+    """
+    v_lo, v_hi = (
+        _intops.variations_at(sturm._int_chain, x.numerator, x.denominator)
+        for x in (F(lo), F(hi))
+    )
+    return None if None in (v_lo, v_hi) else v_lo - v_hi
+
+
 def test_chain_of_x_squared_minus_one():
-    chain = rational_chain(build_sturm(Polynomial([-1, 0, 1])))
+    chain = rational_chain(SturmChain(Polynomial([-1, 0, 1])))
     assert chain == (
         Polynomial([-1, 0, 1]),
         Polynomial([0, 2]),
@@ -74,7 +85,7 @@ def test_chain_of_x_squared_minus_one():
 
 
 def test_chain_of_x_squared_plus_one():
-    chain = rational_chain(build_sturm(Polynomial([1, 0, 1])))
+    chain = rational_chain(SturmChain(Polynomial([1, 0, 1])))
     assert chain == (
         Polynomial([1, 0, 1]),
         Polynomial([0, 2]),
@@ -84,19 +95,19 @@ def test_chain_of_x_squared_plus_one():
 
 def test_chain_squarefrees_first():
     # (x-1)^2 collapses to x-1 before the chain is built
-    chain = rational_chain(build_sturm(Polynomial([1, -2, 1])))
+    chain = rational_chain(SturmChain(Polynomial([1, -2, 1])))
     assert chain == (Polynomial([-1, 1]), Polynomial([1]))
 
 
 def test_chain_of_constant():
-    sturm = build_sturm(Polynomial([5]))
+    sturm = SturmChain(Polynomial([5]))
     assert rational_chain(sturm) == (Polynomial([1]),)
-    assert count_roots_in(sturm, -10, 10) == 0
+    assert sturm_count(sturm, -10, 10) == 0
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
-        build_sturm(Polynomial())
+        SturmChain(Polynomial())
     with pytest.raises(ZeroPolynomialError):
         is_real_rooted(Polynomial())
     with pytest.raises(ZeroPolynomialError):
@@ -127,40 +138,30 @@ def test_reality_test_rejects_bool_coefficients(coeffs, index):
 
 
 def test_count_examples():
-    chain = build_sturm(Polynomial([-1, 0, 1]))
-    assert count_roots_in(chain, -2, 2) == 2
-    assert count_roots_in(chain, 0, 2) == 1
-    assert count_roots_in(chain, F(-1, 2), F(1, 2)) == 0
-    # half-open (lo, hi]: hi exactly on a root would raise, so probe around it
-    assert count_roots_in(chain, F(1, 2), 2) == 1
+    chain = SturmChain(Polynomial([-1, 0, 1]))
+    assert sturm_count(chain, -2, 2) == 2
+    assert sturm_count(chain, 0, 2) == 1
+    assert sturm_count(chain, F(-1, 2), F(1, 2)) == 0
+    # half-open (lo, hi]: hi exactly on a root gives no count, so probe around it
+    assert sturm_count(chain, F(1, 2), 2) == 1
 
 
 def test_count_is_blind_to_multiplicity():
-    chain = build_sturm(Polynomial.from_roots([1, 1, 1, 4]))
-    assert count_roots_in(chain, 0, 5) == 2
+    chain = SturmChain(Polynomial.from_roots([1, 1, 1, 4]))
+    assert sturm_count(chain, 0, 5) == 2
 
 
-def test_endpoint_root_raises():
-    chain = build_sturm(Polynomial([-1, 0, 1]))
-    with pytest.raises(EndpointRootError):
-        count_roots_in(chain, -1, 2)
-    with pytest.raises(EndpointRootError):
-        count_roots_in(chain, -2, 1)
+def test_root_endpoint_gives_no_count():
+    chain = SturmChain(Polynomial([-1, 0, 1]))
+    assert sturm_count(chain, -1, 2) is None
+    assert sturm_count(chain, -2, 1) is None
 
 
 def test_count_evaluates_each_endpoint_chain_once(monkeypatch):
-    chain = build_sturm(Polynomial.from_roots([-3, -1, 0, 2, 5]))
+    chain = SturmChain(Polynomial.from_roots([-3, -1, 0, 2, 5]))
     counts = _count_calls(monkeypatch, ("eval_sign",))
-    assert count_roots_in(chain, F(-1, 2), 3) == 2
+    assert sturm_count(chain, F(-1, 2), 3) == 2
     assert counts["eval_sign"] == 2 * len(chain._int_chain)
-
-
-def test_count_rejects_empty_interval():
-    chain = build_sturm(Polynomial([-1, 0, 1]))
-    with pytest.raises(ValueError):
-        count_roots_in(chain, 2, 2)
-    with pytest.raises(ValueError):
-        count_roots_in(chain, 3, 2)
 
 
 def test_is_real_rooted_basics():
@@ -231,10 +232,9 @@ def test_refine_preserves_multiplicities_and_carrier():
 
 def test_refine_rejects_nonpositive_width():
     roots = isolate_roots(Polynomial([0, 1]))
-    with pytest.raises(ValueError, match=r"^width must be positive, got 0$"):
-        refine_to(roots, 0)
-    with pytest.raises(ValueError, match=r"^width must be positive, got -1/2$"):
-        refine_to(roots, F(-1, 2))
+    for width in (0, -1, F(-1, 2)):
+        with pytest.raises(InputFormatError, match=f"^width must be positive, got {width}$"):
+            refine_to(roots, width)
 
 
 def test_from_roots_point_intervals():
@@ -384,9 +384,9 @@ def test_count_matches_direct_enumeration(values, a, b):
     lo, hi = min(a, b), max(a, b)
     if lo == hi or lo in values or hi in values:
         return
-    chain = build_sturm(Polynomial.from_roots(values))
+    chain = SturmChain(Polynomial.from_roots(values))
     expected = len({v for v in values if lo < v <= hi})
-    assert count_roots_in(chain, lo, hi) == expected
+    assert sturm_count(chain, lo, hi) == expected
 
 
 @settings(max_examples=40)
@@ -458,7 +458,7 @@ def test_refine_takes_the_reference_steps(values, lo, span, steps, start):
         assert _refine(p0, lo, hi, steps) == (lo, hi)
     elif s_lo * s_hi < 0:
         assert _refine(p0, lo, hi, 1) == bisect_once(p0, lo, hi)
-        if count_roots_in(build_sturm(p), lo, hi) == 1:
+        if sturm_count(SturmChain(p), lo, hi) == 1:
             assert _refine(p0, lo, hi, steps) == reference_bisect(p0, lo, hi, steps)
     else:
         with pytest.raises(ValueError, match=re.escape(f"[{lo}, {hi}]")):
@@ -474,7 +474,7 @@ def reference_isolate(p, splits=None):
     not a root.  Every point tried as a split is appended to ``splits``
     when a list is given.
     """
-    chain = build_sturm(p)._int_chain
+    chain = SturmChain(p)._int_chain
     p0 = chain[0]
     if len(p0) == 1:
         return ()
@@ -581,7 +581,7 @@ def test_root_bound_exponent_bounds_every_root(values, quadratics, lead):
 def assert_isolation_matches_past_the_root_bound(p):
     splits = []
     assert isolate_roots(p).intervals == reference_isolate(p, splits)
-    e = _intops.root_bound_exponent(build_sturm(p)._int_chain[0])
+    e = _intops.root_bound_exponent(SturmChain(p)._int_chain[0])
     assert any(abs(x) > 2 ** e for x in splits)
 
 
@@ -612,7 +612,7 @@ def test_wide_spread_isolation_past_the_root_bound_matches_the_reference(
 
 def test_isolation_evaluates_nothing_beyond_the_root_bound(monkeypatch):
     p = char_poly(random_hermitian(SplitMix64(10), 10, 10))
-    p0 = build_sturm(p)._int_chain[0]
+    p0 = SturmChain(p)._int_chain[0]
     e = _intops.root_bound_exponent(p0)
     bound = F(*_intops.cauchy_bound(p0))
     points = []
@@ -665,7 +665,7 @@ def test_refinement_and_comparer_pin_the_same_brackets():
 def test_integer_chain_scales_the_textbook_chain(values, b, c, scale):
     # x^2 + b*x + c adds a complex pair when b^2 < 4c
     p = scale * Polynomial.from_roots(values) * Polynomial([c, b, 1])
-    sturm = build_sturm(p)
+    sturm = SturmChain(p)
     reference_chain = rational_chain(sturm)
     assert len(sturm._int_chain) == len(reference_chain)
     for entry, reference in zip(sturm._int_chain, reference_chain):
@@ -1026,7 +1026,7 @@ def test_point_brackets_on_their_carrier_are_final():
 
 def reference_is_real_rooted(p):
     """Variation count at +-infinity over the Sturm chain of p's squarefree part."""
-    chain = build_sturm(p)._int_chain
+    chain = SturmChain(p)._int_chain
     distinct = _intops.variations_at_infinity(
         chain, -1
     ) - _intops.variations_at_infinity(chain, 1)
