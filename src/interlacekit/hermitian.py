@@ -219,6 +219,19 @@ class HermitianMatrix:
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != n:
             raise InputFormatError(f"field 'entries' must be a list of {n} rows")
+        # Each distinct entry string is parsed once: generated matrices
+        # repeat a few small values.  A part that is not a string goes to
+        # parse_rational, which refuses it.
+        parsed: dict[str, Fraction] = {}
+
+        def parse(part):
+            if not isinstance(part, str):
+                return parse_rational(part)
+            value = parsed.get(part)
+            if value is None:
+                value = parsed[part] = parse_rational(part)
+            return value
+
         grid = []
         for i, row in enumerate(entries):
             if not isinstance(row, list) or len(row) != n:
@@ -230,9 +243,7 @@ class HermitianMatrix:
                         f"entry ({i}, {j}) must be a pair [re, im]"
                     )
                 try:
-                    cells.append(
-                        GaussianRational(parse_rational(cell[0]), parse_rational(cell[1]))
-                    )
+                    cells.append(GaussianRational(parse(cell[0]), parse(cell[1])))
                 except InputFormatError as exc:
                     raise InputFormatError(f"entry ({i}, {j}): {exc}") from None
             grid.append(cells)

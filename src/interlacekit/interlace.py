@@ -322,7 +322,19 @@ def default_alphas(
     rng = SplitMix64(DEFAULT_ALPHA_SEED)
     for _ in range(random_count):
         grid.append(rng.rational(DEFAULT_ALPHA_MAGNITUDE, DEFAULT_ALPHA_MAGNITUDE))
-    return list(dict.fromkeys(grid))
+    return _distinct(grid)
+
+
+def _distinct(alphas: list[Fraction]) -> list[Fraction]:
+    """The alphas in order with repeats dropped, keeping first occurrence.
+
+    Keyed on (numerator, denominator): Fractions are kept in lowest terms,
+    so equal values share a key, and no ``Fraction.__hash__`` runs.
+    """
+    distinct: dict[tuple[int, int], Fraction] = {}
+    for alpha in alphas:
+        distinct.setdefault((alpha.numerator, alpha.denominator), alpha)
+    return list(distinct.values())
 
 
 def pencil_scan(
@@ -348,7 +360,7 @@ def pencil_scan(
         grid = default_alphas()
     else:
         grid = as_list(alphas, "alphas")
-        grid = list(dict.fromkeys(as_rational(a, "alpha") for a in grid))
+        grid = _distinct([as_rational(a, "alpha") for a in grid])
     # F = cF*f and G = cG*g with cF, cG > 0, so scale = cF/cG > 0.  For
     # alpha = an/ad, a = an*sn and b = ad*sd with b > 0 (ad, sd > 0) give
     # b*F + a*G = b*cF*(f + alpha*g), a positive multiple with the same

@@ -2,8 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from interlacekit import cli
 
 CLI = [sys.executable, "-m", "interlacekit"]
 
@@ -387,3 +392,43 @@ def test_every_generated_suite_passes(mode):
     assert result.returncode == 0, result.stderr
     report = strip_timing(result.stdout)
     assert report["suites"][mode]["failures"] == 0
+
+
+# Report-shaped JSON: str keys with any characters, big ints, bools, None,
+# every kind of float, strings, and nested lists, tuples and dicts.
+json_keys = st.text(st.characters(), max_size=6)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(st.characters(), max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+@example({"": {}, "a": [], "b": ()})
+@example({'q"\\\x00\x1f\x7f\u00e9\u2028\U0001f600': ['"\\\n', "\udc80"]})
+@example([2 ** 200, -(2 ** 64), True, False, None, 0, -1])
+@example([0.0, -0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf")])
+@example({"b": {"c": [[], [{}], [[1]]]}, "a": ({"z": 1, "y": (2,)},)})
+def test_dump_equals_json_dumps_sorted_with_indent_2(obj):
+    assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_refuses_what_json_dumps_refuses():
+    for obj in (Fraction(1, 2), {"a": [1, Fraction(1, 2)]}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._dump(obj)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interlacekit.hermitian as hermitian
+from interlacekit import cli
 from interlacekit import (
     DEFAULT_WIDTH,
     GaussianRational,
@@ -614,6 +615,47 @@ def test_matrix_json_diagnostics():
     }
     with pytest.raises(InputFormatError, match=r"\(0, 1\)"):
         HermitianMatrix.from_json_obj(lopsided)
+
+
+@pytest.mark.parametrize("part", [3, None, ["1"], True])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_matrix_json_names_the_entry_of_a_non_string_part(part, slot):
+    # Entry strings are parsed once each; a part that is not a string
+    # must still be refused as input, never looked up as a key.
+    cell = ["1", "0"]
+    cell[slot] = part
+    doc = {"n": 2, "entries": [[["1", "0"], ["1", "0"]], [cell, ["1", "0"]]]}
+    with pytest.raises(
+        InputFormatError, match=r"^entry \(1, 0\): rational must be a string"
+    ):
+        HermitianMatrix.from_json_obj(doc)
+
+
+def test_matrix_json_reports_a_repeated_bad_string_at_its_first_entry():
+    doc = {
+        "n": 2,
+        "entries": [[["1", "0"], ["1.5", "0"]], [["1.5", "0"], ["1.5", "0"]]],
+    }
+    with pytest.raises(InputFormatError, match=r"^entry \(0, 1\): invalid rational '1.5'$"):
+        HermitianMatrix.from_json_obj(doc)
+
+
+def test_matrix_json_spellings_of_one_value_parse_to_equal_entries(tmp_path, capsys):
+    doc = {
+        "n": 2,
+        "entries": [[["3", "0"], ["+03", "0"]], [[" 3 ", "0"], ["+03", " 0"]]],
+    }
+    m = HermitianMatrix.from_json_obj(doc)
+    assert {c for row in m.entries for c in row} == {GR(3)}
+    assert m == HermitianMatrix([[3, 3], [3, 3]])
+    canonical = [[["3", "0"]] * 2] * 2
+    assert m.to_json_obj()["entries"] == canonical
+    # The report echoes the canonical form.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--mode", "cauchy", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["suites"]["cauchy"]["trials"][0]["matrix"]["entries"] == canonical
 
 
 def scaled_sum(block, q):

@@ -198,6 +198,23 @@ def test_default_alpha_grid_shape():
     assert len(short) == 28 and short == default_alphas()[:28]
 
 
+def test_alpha_grids_drop_equal_values_keeping_first_occurrence():
+    # The grid is deduplicated on (numerator, denominator), not on
+    # Fraction hashes; the order must stay the hash-deduplicated order.
+    raw = [F(0)]
+    for k in range(-1, 11):
+        raw += [F(2) ** k, -F(2) ** k]
+    rng = SplitMix64(0x5EED)
+    raw += [rng.rational(10 ** 4, 10 ** 4) for _ in range(64)]
+    grid = default_alphas()
+    assert len(grid) == 89
+    assert grid == list(dict.fromkeys(raw))
+    f = Polynomial([0, -2, 1])
+    g = Polynomial([-1, 1])
+    report = pencil_scan(f, g, alphas=[1, F(2, 2), 0, 1])
+    assert report.alphas_tested == (1, 0)
+
+
 def test_default_alphas_rejects_a_negative_count():
     with pytest.raises(InputFormatError, match="random_count must be >= 0, got -5"):
         default_alphas(-5)
