@@ -126,14 +126,25 @@ def _check_square(grid: Grid) -> int:
 
 
 def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
-    """First (i, j) with grid[i][j] != conj(grid[j][i]), or None."""
+    """First (i, j) with grid[i][j] != conj(grid[j][i]), or None.
+
+    A Fraction is kept in lowest terms with a positive denominator, so
+    two parts are equal iff their numerators and denominators are, and
+    -p/q is (-p)/q: the test reads ints and builds no Fraction.
+    """
     n = len(grid)
     for i, row in enumerate(grid):
-        if row[i].im != 0:
+        if row[i].im.numerator:
             return (i, i)
         for j in range(i + 1, n):
             a, b = row[j], grid[j][i]
-            if a.re != b.re or a.im != -b.im:
+            are, aim, bre, bim = a.re, a.im, b.re, b.im
+            if (
+                are.numerator != bre.numerator
+                or aim.numerator != -bim.numerator
+                or are.denominator != bre.denominator
+                or aim.denominator != bim.denominator
+            ):
                 return (i, j)
     return None
 
@@ -144,10 +155,12 @@ class HermitianMatrix:
     ``_pass_memo``, the Faddeev-LeVerrier pass kept by ``_chars``, serves
     ``char_poly``, ``bordered_identity``, ``eigen_intervals`` and
     ``cauchy_check``; ``_spectrum_memo`` is A's spectrum, kept by
-    ``eigen_intervals``.  Both fill on first use and are not part of the value.
+    ``eigen_intervals``; ``_certified_memo`` is the set of deletions that
+    A's residue signs certify, kept by ``_certified``.  All three fill on
+    first use and are not part of the value.
     """
 
-    __slots__ = ("n", "entries", "_pass_memo", "_spectrum_memo")
+    __slots__ = ("n", "entries", "_pass_memo", "_spectrum_memo", "_certified_memo")
 
     def __init__(self, entries):
         grid = _as_grid(entries)
@@ -168,6 +181,7 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "_pass_memo", None)
         object.__setattr__(self, "_spectrum_memo", None)
+        object.__setattr__(self, "_certified_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -519,12 +533,109 @@ def _spectrum(coeffs: list[int], den: int, n: int) -> RootIntervals:
     return spectrum
 
 
+# Certificate points lie on the grid of DEFAULT_WIDTH / 4 = 2**-_GRID_BITS.
+_GRID_BITS = (DEFAULT_WIDTH / 4).denominator.bit_length() - 1
+
+
+def _packed_values(
+    polys: list[list[int]], points: list[int], s: int
+) -> tuple[int, list[int]]:
+    """Slot width w and, at each point num / 2**s, every poly's value in one int.
+
+    The polys all have degree d.  Coefficient j of every poly is packed
+    into one int, poly k's in the signed slot at bit w*k, and one
+    homogenized Horner pass per point gives sum_j P_j num**j 2**(s (d - j)).
+    That is linear in the slots, so slot k holds ``_intops.eval_scaled``
+    of poly k at the point, v = sum_j c_kj num**j 2**(s (d - j)).  Then
+    |v| <= (sum_j |c_kj|) * max(|num|, 2**s)**d < 2**(L + d*p), L the bit
+    length of the largest sum_j |c_kj| and p that of the largest
+    max(|num|, 2**s) over the points.  So with w = L + d*p + 3 every slot
+    holds |v| <= 2**(w - 1) - 1, with two bits to spare.
+    """
+    d = len(polys[0]) - 1
+    p = max(max(map(abs, points)), 1 << s).bit_length()
+    w = max(sum(map(abs, c)) for c in polys).bit_length() + d * p + 3
+    packed = [sum(c[j] << (w * k) for k, c in enumerate(polys)) for j in range(d + 1)]
+    values = []
+    for num in points:
+        acc = packed[-1]
+        shift = 0
+        for c in reversed(packed[:-1]):
+            shift += s
+            acc = acc * num + (c << shift)
+        values.append(acc)
+    return w, values
+
+
+def _residue_certificate(
+    spectrum: RootIntervals, den: int, subs: list[list[int]]
+) -> frozenset[int]:
+    """The deletions k whose strict interlacing A's residue signs certify.
+
+    For Hermitian A with simple eigenvalues l_1 < ... < l_n, char(A_k) /
+    char(A) = sum_i |u_ik|**2 / (x - l_i) has nonnegative residues, so
+    char(A_k)(l_i) has the sign (-1)**(n - i) or is 0 (Hwang 2004).  The
+    certificate reverses that.  If disjoint brackets [a_i, b_i] hold the
+    l_i and char(A_k), of degree n - 1, has the sign (-1)**(n - i) at both
+    a_i and b_i for every i, it changes sign in each of the n - 1 gaps
+    (b_i, a_(i+1)).  So it has exactly one root in each gap and none in
+    any bracket: strict interlacing with a constant gcd, the (True, 0) of
+    ``_intops.interlace_index``.
+
+    The brackets are A's refined ones rounded outward to the grid of
+    2**-s, s = ``_GRID_BITS``, which keeps the numerators short; scaled
+    by D, their ends are the points D*num / 2**s, where char(DA_k) has
+    char(A_k)'s sign.  A repeated eigenvalue, or rounded brackets that
+    touch, certify nothing.  ``_packed_values`` gives every char(DA_k)
+    at each point in one int of w-bit slots, each slot's value v within
+    |v| <= 2**(w - 1) - 1.  Adding 2**(w - 1) - 1 to every slot of e*v, e
+    the expected sign, leaves each slot in [0, 2**w), so no carry crosses
+    a slot, and its top bit is set exactly when e*v >= 1.  One AND over
+    the 2n points keeps the top bits of the deletions that match
+    everywhere; single slots are read only when some deletion missed.
+    """
+    n = len(subs)
+    if len(spectrum) != n:
+        return frozenset()
+    s = _GRID_BITS
+    ends = []
+    for lo, hi in spectrum.intervals:
+        ends.append((lo.numerator << s) // lo.denominator)
+        ends.append(-((-hi.numerator << s) // hi.denominator))
+    if any(b >= a for b, a in zip(ends[1::2], ends[2::2])):
+        return frozenset()
+    w, values = _packed_values(subs, [den * e for e in ends], s)
+    ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # 1 in every slot
+    bias = ones * ((1 << (w - 1)) - 1)
+    top = ones << (w - 1)
+    hits = top
+    for i, v in enumerate(values):
+        hits &= (v if (n - 1 - i // 2) % 2 == 0 else -v) + bias
+    if hits == top:
+        return frozenset(range(n))
+    return frozenset(k for k in range(n) if hits >> (w * k + w - 1) & 1)
+
+
+def _certified(matrix: HermitianMatrix) -> frozenset[int]:
+    """The deletions of ``_residue_certificate``, found once per matrix object."""
+    if matrix._certified_memo is None:
+        den, _, subs = _chars(matrix)
+        object.__setattr__(
+            matrix,
+            "_certified_memo",
+            _residue_certificate(eigen_intervals(matrix), den, subs),
+        )
+    return matrix._certified_memo
+
+
 @dataclass(frozen=True)
 class CauchyReport:
     """Interlacing of a principal submatrix spectrum with the full one.
 
-    ``verdict`` is decided by the Cauchy index of char(A_k)/char(A)
-    (``_intops.interlace_index``), with no root isolation.
+    ``verdict`` is decided by the signs of char(A_k) at the ends of A's
+    refined eigenvalue brackets (``_residue_certificate``), or, where
+    those do not certify k, by the Cauchy index of char(A_k)/char(A)
+    (``_intops.interlace_index``); neither isolates a submatrix root.
     ``submatrix_spectrum`` is isolated and refined to ``DEFAULT_WIDTH``,
     and ``interlace`` walks both spectra with ``interlaces_by_roots`` for
     its chain certificate, each on first access and then cached.
@@ -559,24 +670,32 @@ class CauchyReport:
 def cauchy_check(matrix: HermitianMatrix, k: int) -> CauchyReport:
     """Certify that deleting row and column k interlaces the spectrum.
 
-    The verdict comes from one remainder sequence of char(DA) and
-    char(DA_k), D the common denominator of A's entries, plus a reality
-    test of their gcd when it is not constant.  A deletion whose
-    polynomials share a root (a repeated eigenvalue, say) also walks
-    both spectra at once, and the two routes must agree.  The eigenvalues of the submatrix must
-    always interlace those of the full matrix, so a disagreement or any
-    other verdict is raised as an internal inconsistency carrying the
-    offending report.  The full spectrum and the integer submatrix
-    polynomials are computed once per matrix object and shared by the
-    calls for each k; a submatrix spectrum is isolated only when the
-    report's ``submatrix_spectrum`` or ``interlace`` is read.  k is
+    Most deletions are certified by Hwang's residue signs: char(A_k) has
+    the sign (-1)**(n - i) at both ends of the bracket of A's i-th
+    eigenvalue, for every i, which is strict interlacing
+    (``_residue_certificate``).  Any other k (a repeated eigenvalue,
+    rounded brackets that touch, a sign miss) takes its verdict from one
+    remainder sequence of char(DA) and char(DA_k), D the common
+    denominator of A's entries, plus a reality test of their gcd when it
+    is not constant.  A deletion whose polynomials share a root (a
+    repeated eigenvalue, say) also walks both spectra at once, and the
+    two routes must agree.  The eigenvalues of the submatrix must always
+    interlace those of the full matrix, so a disagreement or any other
+    verdict is raised as an internal inconsistency carrying the
+    offending report.  The integer submatrix polynomials, A's spectrum
+    and the certified set are computed once per matrix object and shared
+    by the calls for each k; a submatrix spectrum is isolated only when
+    the report's ``submatrix_spectrum`` or ``interlace`` is read.  k is
     checked first, so a bad index raises before any of that work.
     """
     matrix = _as_hermitian(matrix)
     _check_deletion(matrix.n, k)
     spectrum = eigen_intervals(matrix)
-    _, char, sub_chars = _chars(matrix)
-    interlaces, shared = _intops.interlace_index(char, sub_chars[k])
+    if k in _certified(matrix):
+        interlaces, shared = True, 0
+    else:
+        _, char, sub_chars = _chars(matrix)
+        interlaces, shared = _intops.interlace_index(char, sub_chars[k])
     verdict = (
         InterlaceVerdict.INTERLACES if interlaces else InterlaceVerdict.DOES_NOT_INTERLACE
     )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interlacekit.hermitian as hermitian
-from interlacekit import cli
+from interlacekit import _intops, cli
 from interlacekit import (
     DEFAULT_WIDTH,
     GaussianRational,
@@ -729,19 +729,24 @@ def count_calls(monkeypatch, *names):
 def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
     m = random_hermitian(SplitMix64(71), 6, 10)
     counts = count_calls(
-        monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix"
+        monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "principal_submatrix",
+        "_residue_certificate",
     )
     reports = [cauchy_check(m, k) for k in range(m.n)]
     assert all(r.verdict == InterlaceVerdict.INTERLACES for r in reports)
-    # The verdicts isolate only A's spectrum; each submatrix spectrum is
-    # isolated when it is first read.
+    # The verdicts isolate only A's spectrum, and one certificate pass
+    # checks every deletion; each submatrix spectrum is isolated when it
+    # is first read.
     assert counts == {
-        "_char_poly_gaussian_int": 1, "isolate_roots": 1, "principal_submatrix": 0
+        "_char_poly_gaussian_int": 1, "isolate_roots": 1, "principal_submatrix": 0,
+        "_residue_certificate": 1,
     }
+    assert m._certified_memo == frozenset(range(m.n))
     for r in reports:
         assert r.submatrix_spectrum is r.submatrix_spectrum
     assert counts == {
-        "_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1, "principal_submatrix": 0
+        "_char_poly_gaussian_int": 1, "isolate_roots": m.n + 1, "principal_submatrix": 0,
+        "_residue_certificate": 1,
     }
     # char(A) and char(B) are read from the kept pass; only the shifted
     # matrix takes a pass of its own.
@@ -753,14 +758,16 @@ def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
 
 def test_an_equal_matrix_built_afresh_does_not_reuse_the_work(monkeypatch):
     m = random_hermitian(SplitMix64(72), 4, 10)
-    counts = count_calls(monkeypatch, "_char_poly_gaussian_int")
+    counts = count_calls(monkeypatch, "_char_poly_gaussian_int", "_residue_certificate")
     cauchy_check(m, 0)
     cauchy_check(m, 1)
-    assert counts["_char_poly_gaussian_int"] == 1
+    assert counts == {"_char_poly_gaussian_int": 1, "_residue_certificate": 1}
     again = HermitianMatrix(m.entries)
     assert again == m
+    assert again._certified_memo is None
     cauchy_check(again, 0)
-    assert counts["_char_poly_gaussian_int"] == 2
+    assert counts == {"_char_poly_gaussian_int": 2, "_residue_certificate": 2}
+    assert again._certified_memo == m._certified_memo
 
 
 def test_eigen_intervals_shares_its_work_with_cauchy_check(monkeypatch):
@@ -831,14 +838,20 @@ ENTRY_POINTS = {
 )
 def test_every_entry_point_reads_one_pass_in_any_order(monkeypatch, matrix, isolations):
     fresh = {name: call(HermitianMatrix(matrix.entries)) for name, call in ENTRY_POINTS.items()}
-    counts = count_calls(monkeypatch, "_char_poly_gaussian_int", "isolate_roots")
+    counts = count_calls(
+        monkeypatch, "_char_poly_gaussian_int", "isolate_roots", "_residue_certificate"
+    )
     for order in itertools.permutations(ENTRY_POINTS):
         m = HermitianMatrix(matrix.entries)
         counts.update(dict.fromkeys(counts, 0))
         for name in order:
             assert ENTRY_POINTS[name](m) == fresh[name], (order, name)
-        # One pass for m and one for the matrix bordered_identity shifts.
-        assert counts == {"_char_poly_gaussian_int": 2, "isolate_roots": isolations}, order
+        # One pass for m and one for the matrix bordered_identity shifts;
+        # one certificate pass for the deletions of m.
+        assert counts == {
+            "_char_poly_gaussian_int": 2, "isolate_roots": isolations,
+            "_residue_certificate": 1,
+        }, order
 
 
 def test_cauchy_check_argument_errors_keep_their_text():
@@ -899,19 +912,21 @@ def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
     m = random_hermitian(SplitMix64(73), 3, 10)
     other = random_hermitian(SplitMix64(74), 3, 10)
     cauchy_check(m, 0)
-    memo = m._pass_memo, m._spectrum_memo
+    memo = m._pass_memo, m._spectrum_memo, m._certified_memo
     assert None not in memo
-    counts = count_calls(monkeypatch, "_chars", "isolate_roots")
+    counts = count_calls(monkeypatch, "_chars", "isolate_roots", "_residue_certificate")
     one = HermitianMatrix([[GR(5)]])
     bad = [(one, 0), (other, -1), (other, 3), (m, 3), (m, -1)]
     bad += [(other, 1.0), (other, True), (other, "1"), (m, F(1)), (m, None)]
     for matrix, k in bad:
         with pytest.raises(InputFormatError):
             cauchy_check(matrix, k)
-    assert counts == {"_chars": 0, "isolate_roots": 0}
+    assert counts == {"_chars": 0, "isolate_roots": 0, "_residue_certificate": 0}
     for fresh in (one, other):
         assert fresh._pass_memo is None and fresh._spectrum_memo is None
+        assert fresh._certified_memo is None
     assert m._pass_memo is memo[0] and m._spectrum_memo is memo[1]
+    assert m._certified_memo is memo[2]
 
 
 def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():
@@ -934,8 +949,8 @@ def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():
 
 
 def test_a_failed_index_verdict_raises_with_the_full_report(monkeypatch, capsys):
-    from interlacekit import _intops, cli
-
+    # Certify nothing, so that every deletion reaches the index route.
+    monkeypatch.setattr(hermitian, "_residue_certificate", lambda *args: frozenset())
     monkeypatch.setattr(_intops, "interlace_index", lambda f, g: (False, 0))
     m = random_hermitian(SplitMix64(77), 4, 10)
     with pytest.raises(InternalInconsistencyError, match=r"deleted 2") as info:
@@ -954,3 +969,129 @@ def test_a_failed_index_verdict_raises_with_the_full_report(monkeypatch, capsys)
     suite = json.loads(capsys.readouterr().out)["suites"]["cauchy"]
     verdicts = [record["verdict"] for record in suite["trials"][0]["deletions"]]
     assert verdicts == ["Inconsistent"] * 3
+
+
+# Hwang's residue signs: the certificate that decides most deletions.
+
+
+def certificate_cases():
+    """540 random matrices, n 2..12: Gaussian-integer ones and rational (D > 1) ones."""
+    for t in range(540):
+        rng = trial_rng(301, t)
+        n = 2 + t % 11
+        if t % 3 == 2:
+            yield rational_hermitian(rng, n)
+        else:
+            yield random_hermitian(rng, n, (1, 10, 1000, 10**6)[t % 4])
+
+
+def test_every_certified_deletion_interlaces_strictly_by_the_index_route():
+    kinds = {"integer": 0, "rational": 0}
+    for m in certificate_cases():
+        den, char, subs = hermitian._chars(m)
+        for k in hermitian._certified(m):
+            assert _intops.interlace_index(char, subs[k]) == (True, 0), (m, k)
+            kinds["integer" if den == 1 else "rational"] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_almost_every_generic_deletion_is_certified():
+    certified = total = 0
+    for t in range(300):
+        m = random_hermitian(trial_rng(302, t), 2 + t % 11, (10, 1000, 10**6)[t % 3])
+        certified += len(hermitian._certified(m))
+        total += m.n
+    assert total > 2000
+    assert certified >= 0.99 * total, (certified, total)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        HermitianMatrix.diagonal([2, 2, 5]),
+        HermitianMatrix.diagonal([1, 2, 3]),
+        scaled_sum(random_hermitian(SplitMix64(81), 3, 10), 1),
+    ],
+    ids=["diag(2, 2, 5)", "diag(1, 2, 3)", "A (+) A"],
+)
+def test_no_tie_deletion_is_certified(matrix):
+    _, char, subs = hermitian._chars(matrix)
+    ties = [k for k in range(matrix.n) if _intops.interlace_index(char, subs[k])[1]]
+    assert ties == list(range(matrix.n))
+    assert hermitian._certified(matrix) == frozenset()
+    for k in range(matrix.n):
+        assert cauchy_check(matrix, k).verdict == InterlaceVerdict.INTERLACES
+
+
+def slots(value, w, count):
+    """The signed w-bit slots of a packed int, lowest first."""
+    out = []
+    for _ in range(count):
+        low = value & ((1 << w) - 1)
+        low -= (low >> (w - 1)) << w
+        out.append(low)
+        value = (value - low) >> w
+    assert value == 0
+    return out
+
+
+def test_every_packed_slot_is_its_own_polynomial_at_each_point(monkeypatch):
+    calls = []
+    original = hermitian._packed_values
+
+    def recorded(polys, points, s):
+        result = original(polys, points, s)
+        calls.append((polys, points, s, result))
+        return result
+
+    monkeypatch.setattr(hermitian, "_packed_values", recorded)
+    matrices = [random_hermitian(trial_rng(303, t), 2 + t % 11, 10) for t in range(11)]
+    matrices += [rational_hermitian(trial_rng(304, t), 3 + t) for t in range(4)]
+    matrices += [random_hermitian(trial_rng(305, n), n, 10**12) for n in (18, 19, 20)]
+    for m in matrices:
+        hermitian._certified(m)
+    assert len(calls) == len(matrices)
+    # The certificate's own points, then points far outside the spectrum.
+    far = [-(7 ** 60), 3 ** 80, 0, -1]
+    calls += [(polys, far, s, original(polys, far, s)) for polys, _, s, _ in calls[-3:]]
+    # Values near the proof's bound: nonnegative coefficients summing to
+    # 2**40 - 1, at num = 2**30 - 1, reach past 2**(L + d*p - 1).
+    top = (1 << 40) - 6
+    polys = [[top, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, top], [0, 0, 0, 0, 0, 1]]
+    tight = [(1 << 30) - 1, 1 - (1 << 30), 1 << 22]
+    w, values = original(polys, tight, 22)
+    assert slots(values[0], w, 3)[1] >> (40 + 5 * 30 - 1) == 1
+    calls.append((polys, tight, 22, (w, values)))
+    for polys, points, s, (w, values) in calls:
+        assert len(values) == len(points)
+        for num, value in zip(points, values):
+            expected = [_intops.eval_scaled(c, num, 1 << s) for c in polys]
+            assert max(map(abs, expected)) < 1 << (w - 1)
+            assert slots(value, w, len(polys)) == expected
+
+
+def test_a_wrong_slot_sign_sends_only_its_deletion_to_the_index_route(monkeypatch):
+    m = random_hermitian(SplitMix64(82), 6, 10)
+    fresh = [cauchy_check(HermitianMatrix(m.entries), k).as_dict() for k in range(m.n)]
+    original = hermitian._packed_values
+
+    def one_slot_flipped(polys, points, s):
+        w, values = original(polys, points, s)
+        slot = slots(values[5], w, len(polys))[2]
+        values[5] -= 2 * slot << (2 * w)
+        return w, values
+
+    monkeypatch.setattr(hermitian, "_packed_values", one_slot_flipped)
+    indexed = []
+    index = _intops.interlace_index
+
+    def counted(f, g):
+        indexed.append(g)
+        return index(f, g)
+
+    monkeypatch.setattr(_intops, "interlace_index", counted)
+    reports = [cauchy_check(m, k) for k in range(m.n)]
+    assert hermitian._certified(m) == frozenset(range(m.n)) - {2}
+    assert indexed == [hermitian._chars(m)[2][2]]
+    assert all(r.verdict == InterlaceVerdict.INTERLACES for r in reports)
+    assert [r.as_dict() for r in reports] == fresh
