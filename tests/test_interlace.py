@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlacekit import _intops
 from interlacekit import (
     DegreeMismatchError,
     InputFormatError,
@@ -563,3 +564,36 @@ def test_index_route_edge_cases():
     assert not interlaces_by_index(double * (x - 3), double, strict=True)
     with pytest.raises(ZeroPolynomialError):
         interlaces_by_index(x, Polynomial())
+
+
+@pytest.mark.parametrize(
+    "f, g, chains",
+    [
+        # x^3 - 4x + 1 and its derivative: simple irrational roots, which
+        # the float cells isolate without a chain.
+        (Polynomial([1, -4, 0, 1]), Polynomial([-4, 0, 3]), 0),
+        # (x + 1)(x - 1)^2 and (x - 1)^2: the repeated root 1 needs the
+        # chain and its multiplicity tower for each input.
+        (
+            Polynomial.from_roots([-1, 1, 1]),
+            Polynomial.from_roots([1, 1]),
+            2,
+        ),
+    ],
+    ids=["simple", "repeated"],
+)
+def test_exact_decision_builds_sturm_chains_only_for_repeated_roots(
+    monkeypatch, f, g, chains
+):
+    # The reality tests run remainder sequences of their own; isolation
+    # builds a Sturm chain only where the float cells are not proved.
+    calls = []
+    original = _intops.squarefree_sturm
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(_intops, "squarefree_sturm", counted)
+    assert interlaces_exact(f, g).verdict == InterlaceVerdict.INTERLACES
+    assert len(calls) == chains

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlacekit import _intops
+from interlacekit import _intops, realroots
 from interlacekit import (
     InputFormatError,
     InterlaceVerdict,
@@ -610,6 +610,11 @@ def test_wide_spread_isolation_past_the_root_bound_matches_the_reference(
     assert_isolation_matches_past_the_root_bound(p)
 
 
+def miss_floats(monkeypatch):
+    """Make the float solver miss, so every call takes the exact route."""
+    monkeypatch.setattr(realroots, "_float_roots", lambda ints: None)
+
+
 def test_isolation_evaluates_nothing_beyond_the_root_bound(monkeypatch):
     p = char_poly(random_hermitian(SplitMix64(10), 10, 10))
     p0 = SturmChain(p)._int_chain[0]
@@ -623,11 +628,18 @@ def test_isolation_evaluates_nothing_beyond_the_root_bound(monkeypatch):
         return original(coeffs, num, den)
 
     monkeypatch.setattr(_intops, "eval_sign", spy)
-    isolate_roots(p)
-    # Only the two sanity checks at +-B look past the root bound.
-    assert [x for x in points if abs(x) > 2 ** e] == [bound, -bound]
-    # A deterministic work number: evaluating at every split costs 893.
-    assert len(points) == 145
+    # A deterministic work number: the ends of the ten cells the floats
+    # place cost 11 points after the two checks; with the floats made to
+    # miss, evaluating at every split of the Sturm tree would cost 893,
+    # and evaluating the chain only where it splits costs 145.
+    for route, count in (("floats", 13), ("tree", 145)):
+        if route == "tree":
+            miss_floats(monkeypatch)
+        points.clear()
+        assert isolate_roots(p).multiplicities == (1,) * 10
+        # Only the two sanity checks at +-B look past the root bound.
+        assert [x for x in points if abs(x) > 2 ** e] == [bound, -bound]
+        assert len(points) == count
 
 
 @pytest.mark.parametrize(
@@ -853,22 +865,29 @@ def test_roots_convert_each_input_once(monkeypatch):
 def test_refinement_evaluates_fewer_points_than_halvings(monkeypatch):
     # Irrational roots far apart: no pins, and no separation step.  One
     # evaluation per halving, plus one per root for the lower end, would
-    # cost 182; the secant jumps reach the same brackets in 68.
+    # cost 182; the float guesses reach the same brackets in 24 (both ends
+    # of each bracket and of its cell), and the secant jumps, with the
+    # floats made to miss, in 68.
     roots = isolate_roots(
         Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-7, 0, 1])
     )
     counts = _count_calls(monkeypatch, ("eval_scaled",))
-    narrow = refine_to(roots, F(1, 2 ** 30))
-    halvings = [
-        ((hi - lo) / (b - a)).numerator.bit_length() - 1
-        for (lo, hi), (a, b) in zip(roots.intervals, narrow.intervals)
-    ]
-    assert len(halvings) == 6 and min(halvings) > 0
-    assert counts["eval_scaled"] == 68 < len(halvings) + sum(halvings)
-    assert narrow.intervals == tuple(
-        reference_bisect(roots.carrier, lo, hi, k)
-        for (lo, hi), k in zip(roots.intervals, halvings)
-    )
+    for route, expected in (("floats", 24), ("secant", 68)):
+        if route == "secant":
+            miss_floats(monkeypatch)
+            roots = RootIntervals(roots.intervals, roots.multiplicities, roots.carrier)
+        counts["eval_scaled"] = 0
+        narrow = refine_to(roots, F(1, 2 ** 30))
+        halvings = [
+            ((hi - lo) / (b - a)).numerator.bit_length() - 1
+            for (lo, hi), (a, b) in zip(roots.intervals, narrow.intervals)
+        ]
+        assert len(halvings) == 6 and min(halvings) > 0
+        assert counts["eval_scaled"] == expected < len(halvings) + sum(halvings)
+        assert narrow.intervals == tuple(
+            reference_bisect(roots.carrier, lo, hi, k)
+            for (lo, hi), k in zip(roots.intervals, halvings)
+        )
 
 
 def seeded_roots():
@@ -1056,3 +1075,125 @@ def test_early_exit_reality_test_matches_the_variation_count(roots, quadratics, 
     k = 1 + abs(lead)
     ints = [k * int(c * den) for c in p.coeffs] + [0, 0]
     assert is_real_rooted(ints) == is_real_rooted(p)
+
+
+# Widths for the route comparison: the library's, coarse, fine past a
+# float's resolution, and one that is no power of two.
+ROUTE_WIDTHS = (F(1, 2 ** 20), F(1, 4), F(1, 2 ** 40), F(3, 7))
+
+
+def route_polys(kind, count, seed):
+    """Seeded polynomials of one kind for the float/exact route comparison."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        if kind == "hermitian":
+            n = rng.int_between(2, 14)
+            bound = 10 ** rng.int_between(0, 6)
+            yield char_poly(random_hermitian(rng, n, bound))
+        elif kind == "linear":
+            yield Polynomial.from_roots(
+                [
+                    F(rng.int_between(-40, 40), rng.int_between(1, 4))
+                    for _ in range(rng.int_between(1, 8))
+                ]
+            )
+        else:
+            body = [rng.int_between(-30, 30) for _ in range(rng.int_between(1, 10))]
+            yield Polynomial(body + [rng.int_between(1, 5)])
+
+
+def edge_polys():
+    """(polynomial, whether isolation takes the float route) at the edges."""
+    # Entries up to 10^12 at n = 18..20: isolation hits, while every 2^-20
+    # cell of the spectrum lies below a float's resolution.
+    for n in (18, 19, 20):
+        yield char_poly(random_hermitian(SplitMix64(n), n, 10 ** 12)), True
+    # 5,000-bit coefficients: roots beyond any float miss; moderate roots
+    # hit, from coefficients converted by their top bits.
+    yield Polynomial.from_roots([2 ** 2500 + 1, -(3 ** 1500), 7]), False
+    yield Polynomial.from_roots([F(2 ** 5000 + 1, 2 ** 5000), 3, F(-5, 2)]), True
+    rng = SplitMix64(5000)
+    for _ in range(4):
+        body = [rng.int_between(-(2 ** 5000), 2 ** 5000) for _ in range(5)]
+        yield Polynomial(body + [2 ** 5000]), None
+    # Degree 1: the root cell (-B, B) always changes sign, unless the
+    # float rounds past B.
+    for root in (0, 1, F(-7, 3), F(1, 2 ** 60)):
+        yield Polynomial.from_roots([root]), True
+    yield Polynomial.from_roots([10 ** 30]), False
+    # Roots on the tree grid miss: 0 splits every (-B, B), and so on.  The
+    # eigenvalue 3 of diag(1/2, 1, 3) is a grid point of its tree.
+    yield Polynomial.from_roots([F(1, 2), 1, 3]), False
+    for values in ([-1, 0, 1], [0, F(5, 2)], [1, 2, 3]):
+        yield Polynomial.from_roots(values), False
+    yield Polynomial.from_roots([-2, F(-7, 4), F(3, 2)]), True
+    # Roots 2^-60 apart hit here, as B / 4 falls between them.
+    yield Polynomial.from_roots([1, 1 + F(1, 2 ** 60), 3]), True
+    # Repeated roots and complex pairs, near the real axis or far off it.
+    yield Polynomial.from_roots([F(1, 3), F(1, 3), 2, 2, 2]), False
+    yield Polynomial.from_roots([-1, 2]) * Polynomial([1, 0, 1]), False
+    yield Polynomial([1, 0, F(1, 10 ** 30)]) * Polynomial([-2, 0, 1]), False
+    yield Polynomial([F(1, 10 ** 30), 0, 1]) * Polynomial([-2, 0, 1]), False
+
+
+def routes_agree(p, builds):
+    """Assert the float route equals the exact one field by field on p.
+
+    Isolation, and refinement at every width of ``ROUTE_WIDTHS``, from
+    the isolated roots with their floats, from a hand-built copy without
+    them, and with the float solver made to miss.  True when isolation
+    took the float route, which builds no Sturm chain; ``builds`` counts
+    the ``squarefree_sturm`` calls.
+    """
+    before = builds["squarefree_sturm"]
+    fast = isolate_roots(p)
+    hit = builds["squarefree_sturm"] == before
+    bare = RootIntervals(fast.intervals, fast.multiplicities, fast.carrier)
+    fast_refined = [refine_to(fast, w) for w in ROUTE_WIDTHS]
+    bare_refined = [refine_to(bare, w) for w in ROUTE_WIDTHS]
+    with pytest.MonkeyPatch.context() as exact:
+        miss_floats(exact)
+        slow = isolate_roots(p)
+        slow_refined = [refine_to(slow, w) for w in ROUTE_WIDTHS]
+
+    def fields(roots):
+        return roots.intervals, roots.multiplicities, roots.carrier
+
+    assert fields(fast) == fields(slow), p
+    for a, b, c in zip(fast_refined, bare_refined, slow_refined):
+        assert fields(a) == fields(b) == fields(c), p
+    return hit
+
+
+@pytest.mark.parametrize(
+    "kind, count, least_hits",
+    [("hermitian", 1200, 1150), ("linear", 1300, 1000), ("integer", 500, 100)],
+)
+def test_float_route_returns_the_exact_routes_brackets(
+    monkeypatch, kind, count, least_hits
+):
+    # Floats only choose cells; integer signs prove them, and anything
+    # unproved takes the Sturm tree or the secant loop.  So every result
+    # is the exact route's, and most inputs never build a Sturm chain.
+    builds = _count_calls(monkeypatch, ("squarefree_sturm",))
+    hits = sum(routes_agree(p, builds) for p in route_polys(kind, count, 32))
+    assert hits >= least_hits
+
+
+def test_float_route_at_the_edges_of_its_range(monkeypatch):
+    builds = _count_calls(monkeypatch, ("squarefree_sturm",))
+    for p, hit in edge_polys():
+        assert routes_agree(p, builds) == hit or hit is None, p
+
+
+def test_float_memo_is_private():
+    # The float roots ride on the result without touching its value.
+    p = Polynomial([-2, 0, 1]) * Polynomial([-3, 1])
+    roots = isolate_roots(p)
+    assert roots._guesses is not None
+    bare = RootIntervals(roots.intervals, roots.multiplicities, roots.carrier)
+    assert bare._guesses is None
+    assert roots == bare and hash(roots) == hash(bare)
+    assert repr(roots) == repr(bare)
+    assert roots.to_json_obj() == bare.to_json_obj()
+    assert refine_to(bare, F(1, 64)) == refine_to(roots, F(1, 64))
