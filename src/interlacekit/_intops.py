@@ -298,20 +298,6 @@ def variations(signs: Sequence[int]) -> int:
     return count
 
 
-def variations_at(chain: Sequence[IntPoly], num: int, den: int) -> int | None:
-    """Sign variations down a Sturm chain at num/den, for den > 0.
-
-    None when num/den is a root of chain[0], where the count is not
-    Sturm's; the rest of the chain is evaluated only otherwise.  Only
-    brackets that may hold several roots need this count: the split
-    points of isolation.
-    """
-    first = eval_sign(chain[0], num, den)
-    if first == 0:
-        return None
-    return variations([first, *(eval_sign(c, num, den) for c in chain[1:])])
-
-
 def variations_at_infinity(chain: Sequence[IntPoly], sign: int) -> int:
     """Sign variations at +infinity (sign 1) or -infinity (sign -1).
 

@@ -543,10 +543,11 @@ def _packed_values(
     """Slot width w and, at each point num / 2**s, every poly's value in one int.
 
     The polys all have degree d.  Coefficient j of every poly is packed
-    into one int, poly k's in the signed slot at bit w*k, and one
-    homogenized Horner pass per point gives sum_j P_j num**j 2**(s (d - j)).
-    That is linear in the slots, so slot k holds ``_intops.eval_scaled``
-    of poly k at the point, v = sum_j c_kj num**j 2**(s (d - j)).  Then
+    into one int, poly k's in the signed slot at bit w*k, and
+    ``_intops.eval_scaled`` of the packed poly at each point gives
+    sum_j P_j num**j 2**(s (d - j)).  That is linear in the slots, so
+    slot k holds ``eval_scaled`` of poly k at the point,
+    v = sum_j c_kj num**j 2**(s (d - j)).  Then
     |v| <= (sum_j |c_kj|) * max(|num|, 2**s)**d < 2**(L + d*p), L the bit
     length of the largest sum_j |c_kj| and p that of the largest
     max(|num|, 2**s) over the points.  So with w = L + d*p + 3 every slot
@@ -556,15 +557,7 @@ def _packed_values(
     p = max(max(map(abs, points)), 1 << s).bit_length()
     w = max(sum(map(abs, c)) for c in polys).bit_length() + d * p + 3
     packed = [sum(c[j] << (w * k) for k, c in enumerate(polys)) for j in range(d + 1)]
-    values = []
-    for num in points:
-        acc = packed[-1]
-        shift = 0
-        for c in reversed(packed[:-1]):
-            shift += s
-            acc = acc * num + (c << shift)
-        values.append(acc)
-    return w, values
+    return w, [_intops.eval_scaled(packed, num, 1 << s) for num in points]
 
 
 def _residue_certificate(

@@ -524,26 +524,26 @@ def _refine(
 
     For an open bracket with a strict sign change of p0 at its ends and
     one root r inside, k halvings end in the level-k dyadic cell that
-    holds r, or at (r, r) when r is a point of that grid.  A float
+    holds r, or at (r, r) when r is a point of that grid, whatever the
+    jumps are.  A jump of depth m splits the cell into 2^m cells,
+    evaluates one grid point and its neighbour on the side of the sign
+    change, and keeps that fine cell if it changes sign; m then doubles.
+    On a miss the cell takes one plain halving and m halves.  A zero at
+    any evaluated point is r itself, on the grid, and pins it.  The
+    point is the one nearest the secant root, except that a float
     ``guess`` at r, which ``refine_to`` passes when every bracket is
-    known to hold one root, names a level-k cell first, if that cell is
-    wide enough for a float to tell it from its neighbours; two
-    evaluations at its ends prove it: a strict sign change returns that
-    cell, and a zero at an end is r on the grid, which returns (r, r).
-    Anything else, or no guess, runs the secant loop.  At ``steps`` 1
-    the jump index is clamped to the midpoint, so any bracket with a
-    strict sign change, whatever it holds, takes one bisection step at
-    three evaluations; the walk and the separation steps of
-    ``refine_to`` halve that way.  A jump of depth m splits the cell into 2^m cells,
-    evaluates the grid point nearest the secant root and its neighbour
-    on the side of the sign change, and keeps that fine cell if it
-    changes sign; m then doubles.  On a miss the cell takes one plain
-    halving and m halves.  A zero at any evaluated point is r itself, on
-    the grid, and pins it.  Values come from ``_intops.eval_scaled`` over
-    the common denominator, so the secant root is exact.  A point comes
-    back unchanged if p0 vanishes there; a point that is no root, or an
-    open bracket without a strict sign change, raises ``ValueError``
-    naming it, even at ``steps <= 0``.
+    known to hold one root, picks the first: the one nearest the guess,
+    at the deepest level, up to ``steps``, whose cells a float can tell
+    apart, so a good guess settles the bracket in two evaluations.
+    Every index is clamped to 1 .. 2^m - 1, so at ``steps`` 1 the jump
+    is the midpoint, and any bracket with a strict sign change, whatever
+    it holds, takes one bisection step at three evaluations; the walk
+    and the separation steps of ``refine_to`` halve that way.  Values
+    come from ``_intops.eval_scaled`` over the common denominator, so
+    the secant root is exact.  A point comes back unchanged if p0
+    vanishes there; a point that is no root, or an open bracket without
+    a strict sign change, raises ``ValueError`` naming it, even at
+    ``steps <= 0``.
     """
     if lo == hi:
         if _intops.eval_sign(p0, lo.numerator, lo.denominator):
@@ -558,35 +558,26 @@ def _refine(
         raise ValueError(f"no strict sign change across bracket [{lo}, {hi}]")
     if steps <= 0:
         return lo, hi
-    if guess is not None:
-        # The level-k cell [x, x + w] / fine holding the guess, tried only
-        # when it is at least 2^-48 |guess| wide: finer cells lie below
-        # a float's resolution, and the guess would name one by chance.
-        gn, gd = guess.as_integer_ratio()
-        i = ((gn * den - a * gd) << steps) // (w * gd)
-        if 0 <= i < 1 << steps and (w * gd) << 48 >= (abs(gn) * den) << steps:
-            fine = den << steps
-            x = (a << steps) + i * w
-            # An end of the bracket keeps the sign found there.
-            sx = _intops.eval_sign(p0, x, fine) if i else (1 if va > 0 else -1)
-            sy = (
-                _intops.eval_sign(p0, x + w, fine)
-                if i + 1 < 1 << steps
-                else (1 if vb > 0 else -1)
-            )
-            if sx == 0 or sy == 0:
-                r = Fraction(x if sx == 0 else x + w, fine)
-                return r, r
-            if sx != sy:
-                return Fraction(x, fine), Fraction(x + w, fine)
     d = len(p0) - 1
     m = 1
+    if guess is not None:
+        gn, gd = guess.as_integer_ratio()
+        wg = w * gd
+        # The deepest level whose cells are at least 2^-48 |guess| wide:
+        # a float tells no finer grid points apart.
+        m = max(1, ((wg << 48) // (abs(gn) * den or 1)).bit_length() - 1)
     while steps:
         m = min(m, steps)
         n = 1 << m
         fine = den << m
-        # Index of the grid point nearest a + w * va / (va - vb).
-        i = min(max((2 * n * va + va - vb) // (2 * (va - vb)), 1), n - 1)
+        if guess is None:
+            # Index of the grid point nearest a + w * va / (va - vb).
+            i = (2 * n * va + va - vb) // (2 * (va - vb))
+        else:
+            # The first jump: the grid point nearest the guess.
+            i = (((gn * den - a * gd) << (m + 1)) + wg) // (wg << 1)
+            guess = None
+        i = min(max(i, 1), n - 1)
         x = (a << m) + i * w
         vx = _intops.eval_scaled(p0, x, fine)
         if vx == 0:
@@ -634,14 +625,15 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     Each interval gets what the fewest halvings that reach the width
     give: the dyadic cell where the carrier changes sign, or a point
     interval, which is final, when a midpoint hits the root exactly.
-    ``_refine`` gets there from a float guess when the intervals number
-    the carrier's degree, and else in secant jumps, with far fewer
-    evaluations than halvings.  The guesses are the float roots kept on
-    ``roots``, or the carrier's own when none are kept.  They are sound
+    ``_refine`` gets there in secant jumps, with far fewer evaluations
+    than halvings.  When the intervals number the carrier's degree, a
+    float root picks each first jump: the one kept on ``roots``, or the
+    carrier's own when none are kept.  One root per interval is sound
     there: every open interval has a strict sign change of the carrier
-    at its ends, checked before any guess is read, and every point
-    interval is a root, so d disjoint intervals each hold at least one
-    of the carrier's d roots, and so exactly one.  Refinement preserves
+    at its ends, checked before any jump, and every point interval is a
+    root, so d disjoint intervals each hold at least one of the
+    carrier's d roots, and so exactly one.  The guess changes only how
+    many points are evaluated, never the result.  Refinement preserves
     the root set and the multiplicities.  After refinement, consecutive
     intervals are strictly separated (hi of one is below lo of the
     next); intervals that still touch take one-step ``_refine``
@@ -658,8 +650,6 @@ def refine_to(roots: RootIntervals, width: Rational) -> RootIntervals:
     guesses = None
     if roots.intervals and len(roots.intervals) == len(p0) - 1:
         guesses = roots._guesses or _float_roots(p0)
-        if guesses is not None and len(guesses) != len(roots.intervals):
-            guesses = None
     refined = [
         _refine(p0, lo, hi, (ceil((hi - lo) / width) - 1).bit_length(), guess)
         for (lo, hi), guess in zip(

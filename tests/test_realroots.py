@@ -63,16 +63,19 @@ def rational_chain(sturm):
 
 
 def sturm_count(sturm, lo, hi):
-    """V(lo) - V(hi) by ``_intops.variations_at``: the distinct roots in (lo, hi].
+    """V(lo) - V(hi), by ``_intops.variations``: the distinct roots in (lo, hi].
 
     None when lo or hi is a root of the chain's first entry, where the
     difference is not Sturm's count.
     """
-    v_lo, v_hi = (
-        _intops.variations_at(sturm._int_chain, x.numerator, x.denominator)
-        for x in (F(lo), F(hi))
-    )
-    return None if None in (v_lo, v_hi) else v_lo - v_hi
+    counts = []
+    for x in (F(lo), F(hi)):
+        num, den = x.numerator, x.denominator
+        signs = [_intops.eval_sign(c, num, den) for c in sturm._int_chain]
+        if signs[0] == 0:
+            return None
+        counts.append(_intops.variations(signs))
+    return counts[0] - counts[1]
 
 
 def test_chain_of_x_squared_minus_one():
@@ -890,6 +893,27 @@ def test_refinement_evaluates_fewer_points_than_halvings(monkeypatch):
         )
 
 
+def test_float_guesses_seed_jumps_below_their_resolution(monkeypatch):
+    # Eigenvalues past 2^8, from entries up to 10^6, put a 2^-40 cell
+    # below 2^-48 times the float, which cannot name that cell; the first
+    # jump still goes to the grid point nearest the float, at the deepest
+    # level the float resolves.
+    # A deterministic work number: 13,064 evaluations; trying the level-k
+    # cell only when a float resolves it, and secant jumps otherwise, cost
+    # 25,639; and the secant jumps alone, with the floats made to miss,
+    # cost 34,626.
+    spectra = [isolate_roots(p) for p in route_polys("hermitian", 300, 32)]
+    width = F(1, 2 ** 40)
+    counts = _count_calls(monkeypatch, ("eval_scaled",))
+    narrow = [refine_to(roots, width) for roots in spectra]
+    assert counts["eval_scaled"] == 13064
+    miss_floats(monkeypatch)
+    counts["eval_scaled"] = 0
+    bare = [RootIntervals(r.intervals, r.multiplicities, r.carrier) for r in spectra]
+    assert [refine_to(roots, width) for roots in bare] == narrow
+    assert counts["eval_scaled"] == 34626
+
+
 def seeded_roots():
     """(carrier, lo, hi) for every isolated root of 60 seeded polynomials."""
     rng = SplitMix64(2024)
@@ -1184,6 +1208,37 @@ def test_float_route_at_the_edges_of_its_range(monkeypatch):
     builds = _count_calls(monkeypatch, ("squarefree_sturm",))
     for p, hit in edge_polys():
         assert routes_agree(p, builds) == hit or hit is None, p
+
+
+def guessed_brackets():
+    """(carrier, lo, hi, root) for the seeded brackets and Hermitian spectra.
+
+    ``root`` is each bracket's root as a float, found by 64 halvings.
+    """
+    spectra = [isolate_roots(p) for p in route_polys("hermitian", 20, 35)]
+    brackets = list(seeded_roots()) + [
+        (roots.carrier, lo, hi) for roots in spectra for lo, hi in roots.intervals
+    ]
+    for p0, lo, hi in brackets:
+        yield p0, lo, hi, float(_refine(p0, lo, hi, 64)[0])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 20, 40, 70])
+def test_no_guess_changes_a_bracket(steps):
+    # The guess picks only the first jump.  Guesses at the root, one and
+    # three level-k cells off, at either end, outside on both sides, at
+    # the neighbouring brackets' roots, and far off all reach the
+    # reference bracket.
+    brackets = list(guessed_brackets())
+    for j, (p0, lo, hi, root) in enumerate(brackets):
+        cell = float((hi - lo) / 2 ** steps)
+        guesses = [root + k * cell for k in (0, 1, -1, 3, -3)]
+        guesses += [float(lo), float(hi), float(2 * lo - hi), float(2 * hi - lo)]
+        guesses += [x[3] for x in brackets[max(j - 1, 0) : j + 2] if x[0] == p0]
+        guesses += [0.0, 1e300, -1e300]
+        expected = reference_bisect(p0, lo, hi, steps)
+        for guess in guesses:
+            assert _refine(p0, lo, hi, steps, guess) == expected, (p0, lo, hi, guess)
 
 
 def test_float_memo_is_private():
