@@ -200,15 +200,6 @@ def remainder_sequence(p: IntPoly, q: IntPoly) -> list[IntPoly]:
     return seq
 
 
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Remainder sequence of p and p', ending at gcd(p, p').
-
-    For a squarefree p it is the Sturm chain, ending at a nonzero
-    constant.
-    """
-    return remainder_sequence(p, derivative(p))
-
-
 def is_real_rooted(p: IntPoly) -> bool:
     """True iff every complex root of p is real, for lc(p) > 0.
 
@@ -279,10 +270,11 @@ def squarefree_sturm(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
     """
     if p[-1] < 0:
         p = [-c for c in p]
-    chain = sturm_chain(p)
+    chain = remainder_sequence(p, derivative(p))
     g = primitive(chain[-1])
     if len(g) > 1:
-        chain = sturm_chain(exact_quotient(p, g))
+        p = exact_quotient(p, g)
+        chain = remainder_sequence(p, derivative(p))
     return chain, g
 
 

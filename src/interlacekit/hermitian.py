@@ -152,15 +152,13 @@ def _hermitian_defect(grid: Grid) -> tuple[int, int] | None:
 class HermitianMatrix:
     """Immutable Hermitian matrix; the constructor rejects anything else.
 
-    ``_pass_memo``, the Faddeev-LeVerrier pass kept by ``_chars``, serves
-    ``char_poly``, ``bordered_identity``, ``eigen_intervals`` and
-    ``cauchy_check``; ``_spectrum_memo`` is A's spectrum, kept by
-    ``eigen_intervals``; ``_certified_memo`` is the set of deletions that
-    A's residue signs certify, kept by ``_certified``.  All three fill on
-    first use and are not part of the value.
+    The Faddeev-LeVerrier pass, the spectrum and the certified deletions
+    are cached properties, filled on first use and not part of the value.
     """
 
-    __slots__ = ("n", "entries", "_pass_memo", "_spectrum_memo", "_certified_memo")
+    # cached_property writes the instance __dict__ directly, past the
+    # raising __setattr__.
+    __slots__ = ("n", "entries", "__dict__")
 
     def __init__(self, entries):
         grid = _as_grid(entries)
@@ -179,9 +177,6 @@ class HermitianMatrix:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "_pass_memo", None)
-        object.__setattr__(self, "_spectrum_memo", None)
-        object.__setattr__(self, "_certified_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -262,6 +257,46 @@ class HermitianMatrix:
                     raise InputFormatError(f"entry ({i}, {j}): {exc}") from None
             grid.append(cells)
         return cls(grid)
+
+    @cached_property
+    def _chars(self) -> tuple[int, list[int], list[list[int]]]:
+        """D, and the integer coefficients of char(DA) and of every char(DA_i).
+
+        Their roots are those of char(A) and char(A_i) times D > 0, D the
+        common denominator of A's entries.  The pass runs once per matrix
+        object and is kept on it; an equal matrix built afresh runs it
+        again.  The char(DA_i), the diagonal of adj(xI - DA), must sum to
+        its trace char(DA)' (Jacobi's formula): a check Cayley-Hamilton
+        does not make.
+        """
+        den, full, subs = _scaled_pass(self.entries)
+        full = _real_ints(full, den, "characteristic coefficient")
+        subs = [
+            _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
+            for i, sub in enumerate(subs)
+        ]
+        if [sum(c) for c in zip(*subs)] != _intops.derivative(full):
+            raise InternalInconsistencyError(
+                "Faddeev-LeVerrier broke Jacobi's formula: sum_i char(A_i) != char(A)'"
+            )
+        return den, full, subs
+
+    @cached_property
+    def _spectrum(self) -> RootIntervals:
+        """A's spectrum, isolated once per matrix object."""
+        den, char, _ = self._chars
+        return _roots_of(char, den, self.n)
+
+    @cached_property
+    def _certified(self) -> frozenset[int]:
+        """The deletions of ``_residue_certificate``, found once per matrix object.
+
+        The spectrum is read through ``eigen_intervals``, so a profile or
+        trace finds the pass, isolation and refinement under that name.
+        """
+        spectrum = eigen_intervals(self)
+        den, _, subs = self._chars
+        return _residue_certificate(spectrum, den, subs)
 
 
 def _slot_width(real_form: list[list[int]]) -> int:
@@ -376,30 +411,6 @@ def _scaled_pass(grid: Grid) -> tuple[int, _Parts, list[_Parts]]:
     return den, *_char_poly_gaussian_int(real_form)
 
 
-def _chars(matrix: HermitianMatrix) -> tuple[int, list[int], list[list[int]]]:
-    """D, and the integer coefficients of char(DA) and of every char(DA_i).
-
-    Their roots are those of char(A) and char(A_i) times D > 0, D the
-    common denominator of A's entries.  The pass runs once per matrix
-    object and is kept on it; an equal matrix built afresh runs it again.
-    The char(DA_i), the diagonal of adj(xI - DA), must sum to its trace
-    char(DA)' (Jacobi's formula): a check Cayley-Hamilton does not make.
-    """
-    if matrix._pass_memo is None:
-        den, full, subs = _scaled_pass(matrix.entries)
-        full = _real_ints(full, den, "characteristic coefficient")
-        subs = [
-            _real_ints(sub, den, f"submatrix {i} characteristic coefficient")
-            for i, sub in enumerate(subs)
-        ]
-        if [sum(c) for c in zip(*subs)] != _intops.derivative(full):
-            raise InternalInconsistencyError(
-                "Faddeev-LeVerrier broke Jacobi's formula: sum_i char(A_i) != char(A)'"
-            )
-        object.__setattr__(matrix, "_pass_memo", (den, full, subs))
-    return matrix._pass_memo
-
-
 def _as_hermitian(matrix) -> HermitianMatrix:
     """The argument itself, or a plain grid through the checking constructor."""
     if isinstance(matrix, HermitianMatrix):
@@ -415,7 +426,7 @@ def char_poly(matrix: HermitianMatrix) -> Polynomial:
     matrix object.  A plain grid is accepted and checked by the
     HermitianMatrix constructor.
     """
-    den, char, _ = _chars(_as_hermitian(matrix))
+    den, char, _ = _as_hermitian(matrix)._chars
     return _unscaled(char, den)
 
 
@@ -494,7 +505,7 @@ def bordered_identity(matrix: HermitianMatrix, alpha: Rational) -> IdentityRepor
     corner = shifted_rows[n - 1][n - 1]
     shifted_rows[n - 1][n - 1] = GaussianRational(corner.re + alpha, corner.im)
     lhs = char_poly(HermitianMatrix(shifted_rows))
-    den, char, sub_chars = _chars(matrix)
+    den, char, sub_chars = matrix._chars
     rhs = _unscaled(char, den) - alpha * _unscaled(sub_chars[n - 1], den)
     return IdentityReport(
         n=n,
@@ -515,14 +526,10 @@ def eigen_intervals(matrix: HermitianMatrix) -> RootIntervals:
     matrix object and is kept there too, so it is isolated once per
     object, however many ``cauchy_check`` calls read it.
     """
-    matrix = _as_hermitian(matrix)
-    if matrix._spectrum_memo is None:
-        den, char, _ = _chars(matrix)
-        object.__setattr__(matrix, "_spectrum_memo", _spectrum(char, den, matrix.n))
-    return matrix._spectrum_memo
+    return _as_hermitian(matrix)._spectrum
 
 
-def _spectrum(coeffs: list[int], den: int, n: int) -> RootIntervals:
+def _roots_of(coeffs: list[int], den: int, n: int) -> RootIntervals:
     """Roots of char(M) for an n-square Hermitian M, given char(DM) and D."""
     spectrum = refine_to(isolate_roots(_unscaled(coeffs, den)), DEFAULT_WIDTH)
     if spectrum.total_multiplicity != n:
@@ -609,18 +616,6 @@ def _residue_certificate(
     return frozenset(k for k in range(n) if hits >> (w * k + w - 1) & 1)
 
 
-def _certified(matrix: HermitianMatrix) -> frozenset[int]:
-    """The deletions of ``_residue_certificate``, found once per matrix object."""
-    if matrix._certified_memo is None:
-        den, _, subs = _chars(matrix)
-        object.__setattr__(
-            matrix,
-            "_certified_memo",
-            _residue_certificate(eigen_intervals(matrix), den, subs),
-        )
-    return matrix._certified_memo
-
-
 @dataclass(frozen=True)
 class CauchyReport:
     """Interlacing of a principal submatrix spectrum with the full one.
@@ -632,19 +627,26 @@ class CauchyReport:
     ``submatrix_spectrum`` is isolated and refined to ``DEFAULT_WIDTH``,
     and ``interlace`` walks both spectra with ``interlaces_by_roots`` for
     its chain certificate, each on first access and then cached.
-    ``as_dict`` reads both.
+    ``as_dict`` reads both.  ``n`` and ``matrix_spectrum`` read the matrix,
+    which keeps its spectrum.
     """
 
-    n: int
     deleted: int
-    matrix_spectrum: RootIntervals
     verdict: InterlaceVerdict
     _matrix: HermitianMatrix = field(repr=False)
 
+    @property
+    def n(self) -> int:
+        return self._matrix.n
+
+    @property
+    def matrix_spectrum(self) -> RootIntervals:
+        return eigen_intervals(self._matrix)
+
     @cached_property
     def submatrix_spectrum(self) -> RootIntervals:
-        den, _, sub_chars = _chars(self._matrix)
-        return _spectrum(sub_chars[self.deleted], den, self.n - 1)
+        den, _, sub_chars = self._matrix._chars
+        return _roots_of(sub_chars[self.deleted], den, self.n - 1)
 
     @cached_property
     def interlace(self) -> InterlaceReport:
@@ -683,18 +685,15 @@ def cauchy_check(matrix: HermitianMatrix, k: int) -> CauchyReport:
     """
     matrix = _as_hermitian(matrix)
     _check_deletion(matrix.n, k)
-    spectrum = eigen_intervals(matrix)
-    if k in _certified(matrix):
+    if k in matrix._certified:
         interlaces, shared = True, 0
     else:
-        _, char, sub_chars = _chars(matrix)
+        _, char, sub_chars = matrix._chars
         interlaces, shared = _intops.interlace_index(char, sub_chars[k])
     verdict = (
         InterlaceVerdict.INTERLACES if interlaces else InterlaceVerdict.DOES_NOT_INTERLACE
     )
-    report = CauchyReport(
-        n=matrix.n, deleted=k, matrix_spectrum=spectrum, verdict=verdict, _matrix=matrix
-    )
+    report = CauchyReport(deleted=k, verdict=verdict, _matrix=matrix)
     if shared or not interlaces:
         walked = report.interlace.verdict
         if walked != report.verdict:

@@ -92,8 +92,8 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
         ints = _intops.from_fraction_coeffs(p.coeffs)
     else:
         ints = as_list(p, "coefficients")
-        if not all(type(c) is int for c in ints):  # one sweep for the common case
-            for i, c in enumerate(ints):
+        for i, c in enumerate(ints):
+            if type(c) is not int:
                 as_int(c, f"coefficient {i}")
         ints = _intops.primitive(_intops.trim(ints))
     if not ints:
@@ -135,26 +135,23 @@ class RootIntervals:
                 raise InputFormatError(f"{name} must be a tuple or a list")
         if len(self.intervals) != len(self.multiplicities):
             raise InputFormatError("multiplicities must hold one entry per interval")
-        # One sweep per field for the common case; the loops name the culprit.
-        if not all(type(m) is int and m >= 1 for m in self.multiplicities):
-            for i, m in enumerate(self.multiplicities):
-                if as_int(m, f"multiplicity {i}") < 1:
-                    raise InputFormatError(
-                        f"multiplicity {i} must be positive, got {m}"
-                    )
-        if not all(type(c) is int for c in self.carrier):
-            for i, c in enumerate(self.carrier):
+        # An entry of the common type skips the check that names the culprit.
+        for i, m in enumerate(self.multiplicities):
+            if type(m) is not int:
+                as_int(m, f"multiplicity {i}")
+            if m < 1:
+                raise InputFormatError(f"multiplicity {i} must be positive, got {m}")
+        for i, c in enumerate(self.carrier):
+            if type(c) is not int:
                 as_int(c, f"carrier coefficient {i}")
-        typed = all(
-            type(interval) is tuple
-            and len(interval) == 2
-            and type(interval[0]) is Fraction
-            and type(interval[1]) is Fraction
-            for interval in self.intervals
-        )
         prev_lo = prev_hi = None
         for i, interval in enumerate(self.intervals):
-            if not typed:
+            if not (
+                type(interval) is tuple
+                and len(interval) == 2
+                and type(interval[0]) is Fraction
+                and type(interval[1]) is Fraction
+            ):
                 if not isinstance(interval, (tuple, list)) or len(interval) != 2:
                     raise InputFormatError(
                         f"interval {i} must be a pair (lo, hi), got {interval!r}"

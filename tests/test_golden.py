@@ -1,8 +1,11 @@
-"""Byte-level pins on ``check`` reports.
+"""Byte-level pins on ``check`` reports and library Cauchy reports.
 
-Each case runs the CLI in process and hashes its report with the wall
-clock value in the timing block blanked out; every other byte counts.
-A refactor that keeps verdicts, witnesses, multiplicities and chain
+Each CLI case runs the CLI in process and hashes its report with the
+wall clock value in the timing block blanked out; every other byte
+counts.  A CLI ``cauchy`` record carries only k and the verdict, so the
+library cases hash A's spectrum and every ``CauchyReport.as_dict()``,
+with its submatrix brackets and walk certificate.  A refactor that
+keeps verdicts, witnesses, multiplicities, brackets and chain
 certificates leaves every digest in place.  A deliberate report change
 must update the digest here and say why.
 """
@@ -13,6 +16,14 @@ import re
 
 import pytest
 
+from interlacekit import (
+    GaussianRational,
+    HermitianMatrix,
+    cauchy_check,
+    eigen_intervals,
+    random_hermitian,
+    trial_rng,
+)
 from interlacekit.cli import main
 
 _ELAPSED = re.compile(r'"elapsed_seconds": [^\n]*')
@@ -80,3 +91,60 @@ def test_file_reports_are_pinned(case, capsys, tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(docs[name]))
     argv = ["check", "--mode", case[0], "--seed", "42", *case[1:]]
     assert report_digest(capsys, argv) == FILE_CASES[case]
+
+
+
+def _path_graph():
+    one, zero = GaussianRational.of(1), GaussianRational.of(0)
+    return HermitianMatrix([[zero, one, zero], [one, zero, one], [zero, one, zero]])
+
+
+# Generic integer matrices, a repeated eigenvalue kept by every deletion,
+# the 3x3 path graph (the tie 0 at its middle deletion), rational entries
+# with double eigenvalues, and entries up to 10^12.
+LIBRARY_CASES = {
+    "int-4": (
+        lambda: random_hermitian(trial_rng(90, 0), 4, 10),
+        "7143099c6eace35090075a6797ac4a4efb85d2bfbf9f738cec91ae34901b3c1d",
+    ),
+    "int-5": (
+        lambda: random_hermitian(trial_rng(90, 1), 5, 10),
+        "34398e676f3493b65691babc5273303c71c7070f7637de850b4b809931e1bf9f",
+    ),
+    "int-6": (
+        lambda: random_hermitian(trial_rng(90, 2), 6, 10),
+        "a86190803a625445eab1765144475c7a1eb2b47a090047a7afa967ba46323179",
+    ),
+    "int-7": (
+        lambda: random_hermitian(trial_rng(90, 3), 7, 10),
+        "1f10084742d28ec23ca6af15d186b8388620d2e1fdd56f2f82599e4f59a3e449",
+    ),
+    "diag-2-2-5": (
+        lambda: HermitianMatrix.diagonal([2, 2, 5]),
+        "d22baf2c9091c40e6ea92a230a56dd9d6928433d57ae9fb7d9a16051e2e4b8be",
+    ),
+    "path-3": (
+        _path_graph,
+        "c51703e9e882a2886f9eeb399bf116e5e14734d5affeb85f4d35a4eec40e338a",
+    ),
+    "repeated": (
+        lambda: HermitianMatrix.from_json_obj(REPEATED_MATRIX),
+        "0c624554602001aa9f2f42354fefc74738d29d553d1b7765a14ab87ff34c38eb",
+    ),
+    "bound-1e12": (
+        lambda: random_hermitian(trial_rng(91, 0), 6, 10**12),
+        "d51f78d4a5fb8dc72050be73b2f5240507f15595dc907130d56f4381c9166a9d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_CASES))
+def test_library_cauchy_reports_are_pinned(name):
+    build, digest = LIBRARY_CASES[name]
+    m = build()
+    doc = [
+        eigen_intervals(m).to_json_obj(),
+        [cauchy_check(m, k).as_dict() for k in range(m.n)],
+    ]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

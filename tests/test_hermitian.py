@@ -690,7 +690,7 @@ def one_pass_cases():
 def test_one_pass_yields_every_submatrix_char_poly():
     sizes = set()
     for m in one_pass_cases():
-        den, full, subs = hermitian._chars(m)
+        den, full, subs = m._chars
         assert hermitian._unscaled(full, den) == char_poly(m)
         assert len(subs) == m.n
         for k, sub in enumerate(subs):
@@ -741,7 +741,7 @@ def test_all_deletions_of_a_matrix_share_one_pass(monkeypatch):
         "_char_poly_gaussian_int": 1, "isolate_roots": 1, "principal_submatrix": 0,
         "_residue_certificate": 1,
     }
-    assert m._certified_memo == frozenset(range(m.n))
+    assert vars(m)["_certified"] == frozenset(range(m.n))
     for r in reports:
         assert r.submatrix_spectrum is r.submatrix_spectrum
     assert counts == {
@@ -764,10 +764,10 @@ def test_an_equal_matrix_built_afresh_does_not_reuse_the_work(monkeypatch):
     assert counts == {"_char_poly_gaussian_int": 1, "_residue_certificate": 1}
     again = HermitianMatrix(m.entries)
     assert again == m
-    assert again._certified_memo is None
+    assert "_certified" not in vars(again)
     cauchy_check(again, 0)
     assert counts == {"_char_poly_gaussian_int": 2, "_residue_certificate": 2}
-    assert again._certified_memo == m._certified_memo
+    assert vars(again)["_certified"] == vars(m)["_certified"]
 
 
 def test_eigen_intervals_shares_its_work_with_cauchy_check(monkeypatch):
@@ -912,21 +912,23 @@ def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
     m = random_hermitian(SplitMix64(73), 3, 10)
     other = random_hermitian(SplitMix64(74), 3, 10)
     cauchy_check(m, 0)
-    memo = m._pass_memo, m._spectrum_memo, m._certified_memo
+    memo = vars(m)["_chars"], vars(m)["_spectrum"], vars(m)["_certified"]
     assert None not in memo
-    counts = count_calls(monkeypatch, "_chars", "isolate_roots", "_residue_certificate")
+    counts = count_calls(
+        monkeypatch, "_scaled_pass", "isolate_roots", "_residue_certificate"
+    )
     one = HermitianMatrix([[GR(5)]])
     bad = [(one, 0), (other, -1), (other, 3), (m, 3), (m, -1)]
     bad += [(other, 1.0), (other, True), (other, "1"), (m, F(1)), (m, None)]
     for matrix, k in bad:
         with pytest.raises(InputFormatError):
             cauchy_check(matrix, k)
-    assert counts == {"_chars": 0, "isolate_roots": 0, "_residue_certificate": 0}
+    assert counts == {"_scaled_pass": 0, "isolate_roots": 0, "_residue_certificate": 0}
     for fresh in (one, other):
-        assert fresh._pass_memo is None and fresh._spectrum_memo is None
-        assert fresh._certified_memo is None
-    assert m._pass_memo is memo[0] and m._spectrum_memo is memo[1]
-    assert m._certified_memo is memo[2]
+        assert "_chars" not in vars(fresh) and "_spectrum" not in vars(fresh)
+        assert "_certified" not in vars(fresh)
+    assert vars(m)["_chars"] is memo[0] and vars(m)["_spectrum"] is memo[1]
+    assert vars(m)["_certified"] is memo[2]
 
 
 def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():
@@ -988,8 +990,8 @@ def certificate_cases():
 def test_every_certified_deletion_interlaces_strictly_by_the_index_route():
     kinds = {"integer": 0, "rational": 0}
     for m in certificate_cases():
-        den, char, subs = hermitian._chars(m)
-        for k in hermitian._certified(m):
+        den, char, subs = m._chars
+        for k in m._certified:
             assert _intops.interlace_index(char, subs[k]) == (True, 0), (m, k)
             kinds["integer" if den == 1 else "rational"] += 1
     assert min(kinds.values()) > 500, kinds
@@ -999,7 +1001,7 @@ def test_almost_every_generic_deletion_is_certified():
     certified = total = 0
     for t in range(300):
         m = random_hermitian(trial_rng(302, t), 2 + t % 11, (10, 1000, 10**6)[t % 3])
-        certified += len(hermitian._certified(m))
+        certified += len(m._certified)
         total += m.n
     assert total > 2000
     assert certified >= 0.99 * total, (certified, total)
@@ -1015,10 +1017,10 @@ def test_almost_every_generic_deletion_is_certified():
     ids=["diag(2, 2, 5)", "diag(1, 2, 3)", "A (+) A"],
 )
 def test_no_tie_deletion_is_certified(matrix):
-    _, char, subs = hermitian._chars(matrix)
+    _, char, subs = matrix._chars
     ties = [k for k in range(matrix.n) if _intops.interlace_index(char, subs[k])[1]]
     assert ties == list(range(matrix.n))
-    assert hermitian._certified(matrix) == frozenset()
+    assert matrix._certified == frozenset()
     for k in range(matrix.n):
         assert cauchy_check(matrix, k).verdict == InterlaceVerdict.INTERLACES
 
@@ -1049,7 +1051,7 @@ def test_every_packed_slot_is_its_own_polynomial_at_each_point(monkeypatch):
     matrices += [rational_hermitian(trial_rng(304, t), 3 + t) for t in range(4)]
     matrices += [random_hermitian(trial_rng(305, n), n, 10**12) for n in (18, 19, 20)]
     for m in matrices:
-        hermitian._certified(m)
+        m._certified
     assert len(calls) == len(matrices)
     # The certificate's own points, then points far outside the spectrum.
     far = [-(7 ** 60), 3 ** 80, 0, -1]
@@ -1091,7 +1093,7 @@ def test_a_wrong_slot_sign_sends_only_its_deletion_to_the_index_route(monkeypatc
 
     monkeypatch.setattr(_intops, "interlace_index", counted)
     reports = [cauchy_check(m, k) for k in range(m.n)]
-    assert hermitian._certified(m) == frozenset(range(m.n)) - {2}
-    assert indexed == [hermitian._chars(m)[2][2]]
+    assert m._certified == frozenset(range(m.n)) - {2}
+    assert indexed == [m._chars[2][2]]
     assert all(r.verdict == InterlaceVerdict.INTERLACES for r in reports)
     assert [r.as_dict() for r in reports] == fresh

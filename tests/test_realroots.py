@@ -847,7 +847,8 @@ def test_squarefree_sturm_matches_gcd_then_chain(factors, scale):
     ints = [int(c) for c in p.coeffs]
     gcd = _intops.poly_gcd(ints, _intops.derivative(ints))
     chain, g = _intops.squarefree_sturm(ints)
-    assert chain == _intops.sturm_chain(_intops.exact_quotient(ints, gcd))
+    q = _intops.exact_quotient(ints, gcd)
+    assert chain == _intops.remainder_sequence(q, _intops.derivative(q))
     ratio = F(g[-1], gcd[-1])
     assert Polynomial(g) == ratio * Polynomial(gcd)
 
