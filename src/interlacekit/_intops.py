@@ -259,25 +259,6 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
-def squarefree_sturm(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
-    """Sturm chain of the squarefree part of p, and gcd(p, p') up to sign.
-
-    The chain starts at the primitive squarefree part with a positive
-    leading coefficient.  p's own remainder sequence ends at the gcd and
-    is that chain when the gcd is constant; otherwise it is rebuilt once
-    from p divided by the gcd's primitive part, which is also the gcd
-    returned.
-    """
-    if p[-1] < 0:
-        p = [-c for c in p]
-    chain = remainder_sequence(p, derivative(p))
-    g = primitive(chain[-1])
-    if len(g) > 1:
-        p = exact_quotient(p, g)
-        chain = remainder_sequence(p, derivative(p))
-    return chain, g
-
-
 def variations(signs: Sequence[int]) -> int:
     count = 0
     prev = 0

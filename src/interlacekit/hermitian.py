@@ -181,6 +181,10 @@ class HermitianMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, without caches.
+        return type(self), (self.entries,)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, HermitianMatrix):
             return self.entries == other.entries
@@ -531,7 +535,9 @@ def eigen_intervals(matrix: HermitianMatrix) -> RootIntervals:
 
 def _roots_of(coeffs: list[int], den: int, n: int) -> RootIntervals:
     """Roots of char(M) for an n-square Hermitian M, given char(DM) and D."""
-    spectrum = refine_to(isolate_roots(_unscaled(coeffs, den)), DEFAULT_WIDTH)
+    # den**n * char(M) has the integer coefficients c_j * den**j.
+    ints = [c * den ** j for j, c in enumerate(coeffs)]
+    spectrum = refine_to(isolate_roots(ints), DEFAULT_WIDTH)
     if spectrum.total_multiplicity != n:
         raise InternalInconsistencyError(
             f"found {spectrum.total_multiplicity} eigenvalues for n = {n}",

@@ -29,6 +29,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return type(self), (self._coeffs,)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs

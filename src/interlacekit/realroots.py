@@ -36,7 +36,7 @@ DEFAULT_WIDTH = Fraction(1, 2 ** 20)
 
 
 class SturmChain:
-    """Sturm chain of the squarefree part of a polynomial.
+    """Sturm chain of the squarefree part of p, as ``_int_poly`` reads it.
 
     The chain is p's signed subresultant sequence on integers, which
     ends at gcd(p, p'); the primitive part of that gcd is kept for the
@@ -49,17 +49,19 @@ class SturmChain:
 
     Sturm counts serve only where a bracket may hold several roots:
     isolation, when the float cells are not proved.  Once roots are
-    isolated, every question about them
-    (multiplicities, refinement, ties) is a sign test of one polynomial
-    at a bracket's ends.
+    isolated, every question about them (multiplicities, refinement,
+    ties) is a sign test of one polynomial at a bracket's ends.
     """
 
     __slots__ = ("_int_chain", "_gcd")
 
-    def __init__(self, p: Polynomial):
-        if p.is_zero:
-            raise ZeroPolynomialError("Sturm chain of zero is undefined")
-        chain, gcd = _intops.squarefree_sturm(_intops.from_fraction_coeffs(p.coeffs))
+    def __init__(self, p: Polynomial | Sequence[int]):
+        p = _int_poly(p)
+        chain = _intops.remainder_sequence(p, _intops.derivative(p))
+        gcd = _intops.primitive(chain[-1])
+        if len(gcd) > 1:
+            p = _intops.exact_quotient(p, gcd)
+            chain = _intops.remainder_sequence(p, _intops.derivative(p))
         object.__setattr__(self, "_int_chain", chain)
         object.__setattr__(self, "_gcd", gcd)
 
@@ -71,22 +73,13 @@ class SturmChain:
         return len(self._int_chain[0]) - 1
 
 
-def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
-    """True iff every complex root of p is real.
+def _int_poly(p: Polynomial | Sequence[int]) -> list[int]:
+    """p as a primitive integer polynomial with a positive leading coefficient.
 
-    p is a ``Polynomial`` or a sequence of Python ints, the ascending
-    coefficients of an integer polynomial; trailing zeros are ignored,
-    and any other entry, a bool included, or a p that is not iterable
-    raises InputFormatError.  Both routes hand ``_intops.is_real_rooted``
-    the primitive integer multiple of p with a positive leading
-    coefficient, so they agree on every input.
-
-    Multiplicities do not matter: p is real rooted exactly when its
-    squarefree part of degree s has s distinct real roots.  The test runs
-    on p's integer subresultant sequence with p' and stops at the first
-    entry that rules that out; it builds no Sturm chain and strips no
-    content past p and p'.  Constants are real rooted; the zero
-    polynomial is rejected.
+    p is a ``Polynomial`` or a sequence of Python ints, ascending, whose
+    trailing zeros are ignored; another entry, a bool included, or a p
+    that is not iterable raises InputFormatError, and zero raises
+    ZeroPolynomialError.  Both forms of one polynomial give the same ints.
     """
     if isinstance(p, Polynomial):
         ints = _intops.from_fraction_coeffs(p.coeffs)
@@ -97,8 +90,20 @@ def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
                 as_int(c, f"coefficient {i}")
         ints = _intops.primitive(_intops.trim(ints))
     if not ints:
-        raise ZeroPolynomialError("is_real_rooted is undefined for zero")
-    return _intops.is_real_rooted(ints if ints[-1] > 0 else [-c for c in ints])
+        raise ZeroPolynomialError("the zero polynomial has no roots to examine")
+    return ints if ints[-1] > 0 else [-c for c in ints]
+
+
+def is_real_rooted(p: Polynomial | Sequence[int]) -> bool:
+    """True iff every complex root of p, as ``_int_poly`` reads it, is real.
+
+    Multiplicities do not matter: p is real rooted exactly when its
+    squarefree part of degree s has s distinct real roots.  The test runs
+    on p's integer subresultant sequence with p' and stops at the first
+    entry that rules that out; it builds no Sturm chain and strips no
+    content past p and p'.  Constants are real rooted.
+    """
+    return _intops.is_real_rooted(_int_poly(p))
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,8 @@ class RootIntervals:
     evaluate it and nothing else.  Malformed fields, entries of the wrong
     type (a bool included), a count mismatch, a multiplicity below 1 and
     inverted, overlapping or repeated intervals raise InputFormatError
-    naming the field or the index.
+    naming the field or the index.  Lists are stored as tuples, so a
+    value built from lists equals and hashes as one built from tuples.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -131,8 +137,11 @@ class RootIntervals:
 
     def __post_init__(self):
         for name in ("intervals", "multiplicities", "carrier"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise InputFormatError(f"{name} must be a tuple or a list")
+            value = getattr(self, name)
+            if type(value) is not tuple:
+                if not isinstance(value, (tuple, list)):
+                    raise InputFormatError(f"{name} must be a tuple or a list")
+                object.__setattr__(self, name, tuple(value))
         if len(self.intervals) != len(self.multiplicities):
             raise InputFormatError("multiplicities must hold one entry per interval")
         # An entry of the common type skips the check that names the culprit.
@@ -144,6 +153,7 @@ class RootIntervals:
         for i, c in enumerate(self.carrier):
             if type(c) is not int:
                 as_int(c, f"carrier coefficient {i}")
+        listed = False  # a pair given as a list, to be stored as a tuple
         prev_lo = prev_hi = None
         for i, interval in enumerate(self.intervals):
             if not (
@@ -158,6 +168,7 @@ class RootIntervals:
                     )
                 for end in interval:
                     as_rational(end, f"interval {i} end")
+                listed = listed or type(interval) is not tuple
             lo, hi = interval
             if lo > hi:
                 raise InputFormatError(f"interval {i} is inverted: [{lo}, {hi}]")
@@ -168,6 +179,8 @@ class RootIntervals:
             if prev_lo == prev_hi == lo == hi:
                 raise InputFormatError(f"interval {i} repeats the point [{lo}, {hi}]")
             prev_lo, prev_hi = lo, hi
+        if listed:
+            object.__setattr__(self, "intervals", tuple(map(tuple, self.intervals)))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -466,24 +479,19 @@ def _multiplicities(
     return mults
 
 
-def isolate_roots(p: Polynomial) -> RootIntervals:
+def isolate_roots(p: Polynomial | Sequence[int]) -> RootIntervals:
     """Isolate every distinct real root of p with its multiplicity.
 
     Returns intervals sorted ascending.  An empty result means p has no
     real roots.  The sum of multiplicities equals deg p exactly when p
-    is real rooted.  p is cleared once to a primitive integer
-    polynomial with a positive leading coefficient.  ``_float_cells``
+    is real rooted.  p is read once by ``_int_poly``.  ``_float_cells``
     tries the brackets its float roots point at; when their signs prove
-    them, no Sturm chain is built.  Otherwise the chain of the carrier
-    is built from the same ints and ``_isolate_squarefree`` runs, reusing
-    every sign already found when p is its own carrier.  The floats stay
-    on the result for ``refine_to`` when they number its brackets.
+    them, no Sturm chain is built.  Otherwise ``SturmChain`` is built
+    from the same ints and ``_isolate_squarefree`` runs, reusing every
+    sign already found when p is its own carrier.  The floats stay on
+    the result for ``refine_to`` when they number its brackets.
     """
-    if p.is_zero:
-        raise ZeroPolynomialError("cannot isolate roots of zero")
-    ints = _intops.from_fraction_coeffs(p.coeffs)
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+    ints = _int_poly(p)
     if len(ints) == 1:
         return RootIntervals(intervals=(), multiplicities=(), carrier=(1,))
     bound, den = _intops.cauchy_bound(ints)
@@ -496,7 +504,8 @@ def isolate_roots(p: Polynomial) -> RootIntervals:
         mults = (1,) * len(cells)
         carrier = tuple(ints)
     else:
-        chain, gcd = _intops.squarefree_sturm(ints)
+        sturm = SturmChain(ints)
+        chain, gcd = sturm._int_chain, sturm._gcd
         carrier = tuple(chain[0])
         cells = _isolate_squarefree(chain, signs if len(gcd) == 1 else {})
         mults = tuple(_multiplicities(gcd, cells))

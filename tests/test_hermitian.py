@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 import re
 from fractions import Fraction as F
 from operator import mul
@@ -929,6 +932,39 @@ def test_a_bad_argument_leaves_the_memo_alone(monkeypatch):
         assert "_certified" not in vars(fresh)
     assert vars(m)["_chars"] is memo[0] and vars(m)["_spectrum"] is memo[1]
     assert vars(m)["_certified"] is memo[2]
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("make_copy", COPIES.values(), ids=COPIES)
+def test_copies_rebuild_through_the_constructor(monkeypatch, make_copy):
+    # Copies are equal values without the cached work, like a matrix
+    # built afresh, and are checked again on the way in.
+    m = random_hermitian(SplitMix64(75), 3, 10)
+    cauchy_check(m, 0)
+    twin = make_copy(m)
+    assert twin == m and hash(twin) == hash(m) and vars(twin) == {}
+    p = Polynomial([F(1, 2), 0, -3])
+    assert make_copy(p) == p
+    checked = []
+    as_grid = hermitian._as_grid
+    monkeypatch.setattr(
+        hermitian, "_as_grid", lambda entries: checked.append(1) or as_grid(entries)
+    )
+    make_copy(m)
+    assert checked == [1]
+
+
+def test_a_cauchy_report_converts_with_asdict():
+    m = HermitianMatrix.diagonal([1, 2, 3])
+    d = dataclasses.asdict(cauchy_check(m, 0))
+    assert d["_matrix"] == m and d["deleted"] == 0
+    assert d["verdict"] == InterlaceVerdict.INTERLACES
 
 
 def test_forcing_the_walk_on_every_deletion_gives_the_index_verdict():

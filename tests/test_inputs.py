@@ -21,11 +21,13 @@ from interlacekit import (
     Polynomial,
     RootIntervals,
     SplitMix64,
+    SturmChain,
     bordered_identity,
     cauchy_check,
     default_alphas,
     hko_crosscheck,
     is_real_rooted,
+    isolate_roots,
     pencil_scan,
     principal_submatrix,
     random_hermitian,
@@ -76,6 +78,12 @@ ARGUMENTS = {
     ),
     "is_real_rooted int coefficient": (
         "coefficient 1", lambda v: is_real_rooted([-1, v]), INTEGER
+    ),
+    "isolate_roots int coefficient": (
+        "coefficient 1", lambda v: isolate_roots([-1, v]), INTEGER
+    ),
+    "SturmChain int coefficient": (
+        "coefficient 1", lambda v: SturmChain([-1, v]), INTEGER
     ),
     "random_hermitian n": (
         "n", lambda v: random_hermitian(SplitMix64(1), v, 3), INTEGER
@@ -134,6 +142,8 @@ CONTAINERS = {
     "Polynomial": ("coefficients", Polynomial),
     "Polynomial.from_roots": ("roots", Polynomial.from_roots),
     "is_real_rooted": ("coefficients", is_real_rooted),
+    "isolate_roots": ("coefficients", isolate_roots),
+    "SturmChain": ("coefficients", SturmChain),
     "RootIntervals.from_roots": ("roots", RootIntervals.from_roots),
     "RootIntervals.from_roots multiplicities": (
         "multiplicities", lambda v: RootIntervals.from_roots([1], v)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlacekit import _intops
+from interlacekit import realroots
 from interlacekit import (
     DegreeMismatchError,
     InputFormatError,
@@ -588,12 +588,12 @@ def test_exact_decision_builds_sturm_chains_only_for_repeated_roots(
     # The reality tests run remainder sequences of their own; isolation
     # builds a Sturm chain only where the float cells are not proved.
     calls = []
-    original = _intops.squarefree_sturm
+    original = realroots.SturmChain
 
     def counted(p):
         calls.append(p)
         return original(p)
 
-    monkeypatch.setattr(_intops, "squarefree_sturm", counted)
+    monkeypatch.setattr(realroots, "SturmChain", counted)
     assert interlaces_exact(f, g).verdict == InterlaceVerdict.INTERLACES
     assert len(calls) == chains

@@ -119,6 +119,10 @@ def test_zero_polynomial_rejected():
         is_real_rooted([0, 0])
     with pytest.raises(ZeroPolynomialError):
         isolate_roots(Polynomial())
+    with pytest.raises(ZeroPolynomialError):
+        isolate_roots([0])
+    with pytest.raises(ZeroPolynomialError):
+        SturmChain([])
 
 
 def test_reality_test_rejects_non_int_coefficients():
@@ -126,6 +130,10 @@ def test_reality_test_rejects_non_int_coefficients():
         is_real_rooted([1, 0.5, 1])
     with pytest.raises(InputFormatError, match="^coefficient 1 must be an int, got Fraction$"):
         is_real_rooted([-1, F(1)])
+    # A string is iterable; its first character is the bad entry.
+    for read in (is_real_rooted, isolate_roots, SturmChain):
+        with pytest.raises(InputFormatError, match="^coefficient 0 must be an int, got str$"):
+            read("x")
 
 
 @pytest.mark.parametrize(
@@ -355,6 +363,22 @@ def test_malformed_root_intervals_name_the_field(make, message):
 def test_int_interval_ends_are_accepted():
     roots = RootIntervals(((0, 1), (2, 2)), (1, 1), (2, -5, 2))
     assert refine_to(roots, F(1, 8)).intervals == ((F(1, 2), F(1, 2)), (F(2), F(2)))
+
+
+def test_root_intervals_store_lists_as_tuples():
+    # Lists anywhere a field takes a sequence: the value equals, and
+    # hashes as, the one built from tuples.
+    pair = (F(0), F(2))
+    built = RootIntervals(((F(0), F(2)),), (1,), (-1, 1))
+    for intervals, mults, carrier in [
+        ([pair], [1], (-1, 1)),
+        ([list(pair)], (1,), [-1, 1]),
+        (([0, 2],), [1], (-1, 1)),
+    ]:
+        roots = RootIntervals(intervals, mults, carrier)
+        assert roots == built and hash(roots) == hash(built)
+        assert type(roots.intervals) is type(roots.intervals[0]) is tuple
+        assert type(roots.multiplicities) is type(roots.carrier) is tuple
 
 
 def test_serialized_intervals():
@@ -694,16 +718,16 @@ def test_integer_chain_scales_the_textbook_chain(values, b, c, scale):
     assert refine_to(roots, F(1, 4096)).carrier == carrier
 
 
-def _count_calls(monkeypatch, names):
+def _count_calls(monkeypatch, names, module=_intops):
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(_intops, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(_intops, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -846,7 +870,8 @@ def test_squarefree_sturm_matches_gcd_then_chain(factors, scale):
             p = p * Polynomial(coeffs)
     ints = [int(c) for c in p.coeffs]
     gcd = _intops.poly_gcd(ints, _intops.derivative(ints))
-    chain, g = _intops.squarefree_sturm(ints)
+    sturm = SturmChain(ints)
+    chain, g = sturm._int_chain, sturm._gcd
     q = _intops.exact_quotient(ints, gcd)
     assert chain == _intops.remainder_sequence(q, _intops.derivative(q))
     ratio = F(g[-1], gcd[-1])
@@ -1168,11 +1193,11 @@ def routes_agree(p, builds):
     the isolated roots with their floats, from a hand-built copy without
     them, and with the float solver made to miss.  True when isolation
     took the float route, which builds no Sturm chain; ``builds`` counts
-    the ``squarefree_sturm`` calls.
+    the ``SturmChain`` builds.
     """
-    before = builds["squarefree_sturm"]
+    before = builds["SturmChain"]
     fast = isolate_roots(p)
-    hit = builds["squarefree_sturm"] == before
+    hit = builds["SturmChain"] == before
     bare = RootIntervals(fast.intervals, fast.multiplicities, fast.carrier)
     fast_refined = [refine_to(fast, w) for w in ROUTE_WIDTHS]
     bare_refined = [refine_to(bare, w) for w in ROUTE_WIDTHS]
@@ -1200,15 +1225,34 @@ def test_float_route_returns_the_exact_routes_brackets(
     # Floats only choose cells; integer signs prove them, and anything
     # unproved takes the Sturm tree or the secant loop.  So every result
     # is the exact route's, and most inputs never build a Sturm chain.
-    builds = _count_calls(monkeypatch, ("squarefree_sturm",))
+    builds = _count_calls(monkeypatch, ("SturmChain",), realroots)
     hits = sum(routes_agree(p, builds) for p in route_polys(kind, count, 32))
     assert hits >= least_hits
 
 
 def test_float_route_at_the_edges_of_its_range(monkeypatch):
-    builds = _count_calls(monkeypatch, ("squarefree_sturm",))
+    builds = _count_calls(monkeypatch, ("SturmChain",), realroots)
     for p, hit in edge_polys():
         assert routes_agree(p, builds) == hit or hit is None, p
+
+
+def test_ints_and_polynomials_are_read_alike(monkeypatch):
+    # One reader for both forms: a Polynomial, its integer coefficients
+    # and a negative multiple of them give the same isolation, floats
+    # included, and the same Sturm chain, on both isolation routes.
+    builds = _count_calls(monkeypatch, ("SturmChain",), realroots)
+    polys = [*route_polys("hermitian", 40, 36), *route_polys("integer", 120, 37)]
+    for p in polys:
+        ints = [int(c) for c in p.coeffs]
+        want = isolate_roots(p)
+        chain = SturmChain(p)
+        for form in (ints, [-3 * c for c in ints]):
+            roots = isolate_roots(form)
+            assert roots == want and roots._guesses == want._guesses, p
+            sturm = SturmChain(form)
+            assert sturm._int_chain == chain._int_chain, p
+            assert sturm._gcd == chain._gcd, p
+    assert 0 < builds["SturmChain"] < 3 * len(polys)
 
 
 def guessed_brackets():
